@@ -97,6 +97,42 @@ let test_debloat_test =
   Test.make ~name:"debloat-test-eval"
     (Staged.stage (fun () -> Kondo_workload.Program.access fuzz_program [| 12.0; 12.0 |]))
 
+(* Run-length kernels: a 64^3 block of a 96^3 set is 4,096 runs of 64
+   elements; one 3D hull of 400 points rasterized by rows.  The element
+   and point variants are the loops the kernels replace. *)
+let slab_set = Kondo_dataarray.Index_set.create (Kondo_dataarray.Shape.create [| 96; 96; 96 |])
+let cube_slab = Kondo_dataarray.Hyperslab.block_at [| 8; 8; 8 |] [| 64; 64; 64 |]
+let () = Kondo_dataarray.Index_set.add_slab slab_set cube_slab
+
+let test_add_slab =
+  Test.make ~name:"index-set-add-slab-64^3"
+    (Staged.stage (fun () -> Kondo_dataarray.Index_set.add_slab slab_set cube_slab))
+
+let test_add_elements =
+  Test.make ~name:"index-set-add-elements-64^3"
+    (Staged.stage (fun () ->
+         Kondo_dataarray.Hyperslab.iter ~clip:(Kondo_dataarray.Index_set.shape slab_set) cube_slab
+           (fun idx -> Kondo_dataarray.Index_set.add slab_set idx)))
+
+let test_covers_slab =
+  Test.make ~name:"index-set-covers-slab-64^3"
+    (Staged.stage (fun () -> Kondo_dataarray.Index_set.covers_slab slab_set cube_slab))
+
+let raster_shape = Kondo_dataarray.Shape.create [| 64; 64; 64 |]
+let raster_hull = Kondo_geometry.Hull.of_int_points hull3d_points
+
+let test_rasterize_rows =
+  Test.make ~name:"rasterize-rows-hull3d"
+    (Staged.stage (fun () -> Kondo_core.Carver.rasterize raster_shape [ raster_hull ]))
+
+let test_rasterize_points =
+  Test.make ~name:"rasterize-points-hull3d"
+    (Staged.stage (fun () ->
+         let out = Kondo_dataarray.Index_set.create raster_shape in
+         Kondo_geometry.Hull.iter_lattice raster_hull (fun idx ->
+             ignore (Kondo_dataarray.Index_set.add_if_in_bounds out idx));
+         out))
+
 let tests =
   Test.make_grouped ~name:"kondo"
     [ test_hull2d;
@@ -108,7 +144,12 @@ let tests =
       test_kh5_read;
       test_kh5_read_audited;
       test_cdc;
-      test_debloat_test ]
+      test_debloat_test;
+      test_add_slab;
+      test_add_elements;
+      test_covers_slab;
+      test_rasterize_rows;
+      test_rasterize_points ]
 
 let run () =
   Exp_common.header "Microbench" "Bechamel micro-benchmarks of the substrates (ns/run, OLS fit)";
@@ -130,8 +171,8 @@ let run () =
   in
   List.iter
     (fun (name, ns) ->
-      if Float.is_nan ns then Printf.printf "  %-28s %14s\n" name "n/a"
-      else if ns > 1_000_000.0 then Printf.printf "  %-28s %11.2f ms\n" name (ns /. 1e6)
-      else if ns > 1_000.0 then Printf.printf "  %-28s %11.2f us\n" name (ns /. 1e3)
-      else Printf.printf "  %-28s %11.0f ns\n" name ns)
+      if Float.is_nan ns then Printf.printf "  %-36s %14s\n" name "n/a"
+      else if ns > 1_000_000.0 then Printf.printf "  %-36s %11.2f ms\n" name (ns /. 1e6)
+      else if ns > 1_000.0 then Printf.printf "  %-36s %11.2f us\n" name (ns /. 1e3)
+      else Printf.printf "  %-36s %11.0f ns\n" name ns)
     rows

@@ -566,6 +566,7 @@ let report_cmd =
     let p = find_program name n m in
     let config = config_of ~jobs seed max_iter in
     let r = with_obs ~trace ~metrics (fun () -> Pipeline.evaluate ~config p) in
+    let missed = Metrics.missed_valuation_rate p ~approx:r.Pipeline.approx in
     let stats_raw =
       Option.map
         (fun file -> String.trim (Bytes.unsafe_to_string (read_whole_file file)))
@@ -587,7 +588,8 @@ let report_cmd =
             (match stats_raw with
             | Some raw -> [ ("runtime_stats", Report.Json.Raw raw) ]
             | None -> [])
-            @ [ ( "metrics",
+            @ [ ("missed_valuation_rate", Report.Json.Float missed);
+                ( "metrics",
                   Report.Json.Raw (Kondo_obs.Registry.to_json Kondo_obs.Registry.default)
                 ) ]
           in
@@ -605,8 +607,7 @@ let report_cmd =
       Printf.printf "truth bloat: %.2f%%\n"
         (100.0 *. (Metrics.bloat_fraction (Program.ground_truth p)));
       ignore a;
-      Printf.printf "missed     : %.3f%% of parameter valuations\n"
-        (100.0 *. Metrics.missed_valuation_rate p ~approx:r.Pipeline.approx)
+      Printf.printf "missed     : %.3f%% of parameter valuations\n" (100.0 *. missed)
     end
   in
   Cmd.v

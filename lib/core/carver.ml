@@ -180,18 +180,24 @@ let carve_points ~config ~dims points =
 
 let carve ~config is =
   let points = ref [] in
-  Index_set.iter is (fun idx -> points := Array.copy idx :: !points);
+  Index_set.iter is (fun idx -> points := idx :: !points);
   carve_points ~config ~dims:(Shape.dims (Index_set.shape is)) !points
 
 let single_hull is =
   if Index_set.is_empty is then None
   else begin
     let points = ref [] in
-    Index_set.iter is (fun idx -> points := Array.copy idx :: !points);
+    Index_set.iter is (fun idx -> points := idx :: !points);
     Some (Hull.of_int_points !points)
   end
 
 let rasterize shape hulls =
   let out = Index_set.create shape in
-  List.iter (fun h -> Hull.iter_lattice h (fun idx -> ignore (Index_set.add_if_in_bounds out idx))) hulls;
+  List.iter
+    (fun h ->
+      Hull.iter_rows h (fun start len ->
+          let block = Array.make (Array.length start) 1 in
+          block.(Array.length start - 1) <- len;
+          Index_set.add_slab out (Hyperslab.make ~start ~block ())))
+    hulls;
   out

@@ -19,15 +19,7 @@ let f1 ~truth ~approx =
   if p +. r = 0.0 then 0.0 else 2.0 *. p *. r /. (p +. r)
 
 let valuation_missed p ~approx v =
-  let missed = ref false in
-  (try
-     Program.iter_access p v (fun idx ->
-         if not (Index_set.mem approx idx) then begin
-           missed := true;
-           raise Exit
-         end)
-   with Exit -> ());
-  !missed
+  List.exists (fun slab -> not (Index_set.covers_slab approx slab)) (p.Program.plan v)
 
 let missed_valuation_rate ?(max_enumerate = 100_000) ?(sample = 20_000) ?(seed = 7) p ~approx =
   let total = Program.param_count p in

@@ -41,11 +41,21 @@ let keep_intervals p approx ~layout =
   let shape = p.Program.shape in
   let dtype = p.Program.dtype in
   let esz = Kondo_dataarray.Dtype.size dtype in
-  let offsets = ref [] in
-  Index_set.iter approx (fun idx ->
-      offsets := Layout.element_offset layout shape dtype idx :: !offsets);
-  let sorted = List.sort compare !offsets in
-  Interval_set.of_sorted (List.map (fun off -> Interval.make off (off + esz)) sorted)
+  (* Each row-major run of kept indices is cut where the layout breaks
+     contiguity on disk; chunked pieces come out of file order, so sort. *)
+  let pieces = ref [] in
+  Index_set.iter_runs approx (fun start len ->
+      let lin = ref start and left = ref len in
+      while !left > 0 do
+        let idx = Shape.delinearize shape !lin in
+        let n = min !left (Layout.contiguous_run layout shape dtype idx) in
+        let off = Layout.element_offset layout shape dtype idx in
+        pieces := Interval.make off (off + (n * esz)) :: !pieces;
+        lin := !lin + n;
+        left := !left - n
+      done);
+  let sorted = List.sort (fun a b -> compare a.Interval.lo b.Interval.lo) !pieces in
+  Interval_set.of_sorted sorted
 
 let debloat_file ~config p ~src ~dst =
   let report = approximate ~config p in

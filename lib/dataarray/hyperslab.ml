@@ -48,6 +48,40 @@ let iter ?clip t f =
   in
   walk 0
 
+let iter_runs ~clip t f =
+  let dims = Shape.dims clip in
+  let r = rank t in
+  if Array.length dims = r then begin
+    (* [prefix] is the row-major linear index of the coordinates chosen
+       along dimensions [0, k); each block is clipped to [0, dims.(k)). *)
+    let rec walk k prefix =
+      let d = dims.(k) and start = t.start.(k) and stride = t.stride.(k) in
+      let block = t.block.(k) and count = t.count.(k) in
+      if k = r - 1 then begin
+        let row = prefix * d in
+        if stride <= block then begin
+          (* blocks touch or overlap: their union is one interval *)
+          let lo = max 0 start and hi = min d (start + ((count - 1) * stride) + block) in
+          if lo < hi then f (row + lo) (hi - lo)
+        end
+        else
+          for c = 0 to count - 1 do
+            let base = start + (c * stride) in
+            let lo = max 0 base and hi = min d (base + block) in
+            if lo < hi then f (row + lo) (hi - lo)
+          done
+      end
+      else
+        for c = 0 to count - 1 do
+          let base = start + (c * stride) in
+          for x = max 0 base to min d (base + block) - 1 do
+            walk (k + 1) ((prefix * d) + x)
+          done
+        done
+    in
+    walk 0 0
+  end
+
 let mem t idx =
   Array.length idx = rank t
   &&

@@ -36,6 +36,16 @@ val iter : ?clip:Shape.t -> t -> (int array -> unit) -> unit
     programs clip explicitly, so the model does too).  The callback
     buffer is reused. *)
 
+val iter_runs : clip:Shape.t -> t -> (int -> int -> unit) -> unit
+(** [iter_runs ~clip t f] walks the selection clipped to [clip] as
+    row-major linear runs: [f start len] covers the [len >= 1] elements
+    from linear index [start] of [clip] along the last dimension.  The
+    runs' union is exactly the set {!iter} [~clip] visits, in the same
+    row order.  Within a row the runs are disjoint and increasing (blocks
+    with [stride <= block] merge into one run); a row may repeat when
+    blocks overlap along an outer dimension.  Nothing is visited when the
+    ranks differ. *)
+
 val mem : t -> int array -> bool
 (** Does the selection contain this index (ignoring clipping)? *)
 

@@ -16,8 +16,16 @@ let add_if_in_bounds t idx =
   else false
 
 let add_slab ?(clip = true) t slab =
-  if clip then Hyperslab.iter ~clip:t.shape slab (fun idx -> add t idx)
+  if clip then Hyperslab.iter_runs ~clip:t.shape slab (Bitset.set_range t.bits)
   else Hyperslab.iter slab (fun idx -> add t idx)
+
+let covers_slab t slab =
+  match
+    Hyperslab.iter_runs ~clip:t.shape slab (fun start len ->
+        if not (Bitset.range_full t.bits start len) then raise_notrace Exit)
+  with
+  | () -> true
+  | exception Exit -> false
 
 let mem t idx = Shape.in_bounds t.shape idx && Bitset.mem t.bits (Shape.linearize t.shape idx)
 
@@ -48,6 +56,8 @@ let equal a b = Shape.equal a.shape b.shape && Bitset.equal a.bits b.bits
 
 let iter t f = Bitset.iter t.bits (fun lin -> f (Shape.delinearize t.shape lin))
 
+let iter_runs t f = Bitset.iter_runs t.bits f
+
 let to_list t =
   let acc = ref [] in
   iter t (fun idx -> acc := idx :: !acc);
@@ -63,15 +73,11 @@ let fraction t = float_of_int (cardinal t) /. float_of_int (Shape.nelems t.shape
 let to_bytes t =
   let dims = Shape.dims t.shape in
   let rank = Array.length dims in
-  let bits_len = (Shape.nelems t.shape + 7) / 8 in
-  let out = Bytes.make (4 + (4 * rank) + bits_len) '\000' in
+  let base = 4 + (4 * rank) in
+  let out = Bytes.create (base + ((Shape.nelems t.shape + 7) / 8)) in
   Bytes.set_int32_le out 0 (Int32.of_int rank);
   Array.iteri (fun k d -> Bytes.set_int32_le out (4 + (4 * k)) (Int32.of_int d)) dims;
-  let pos = ref (4 + (4 * rank)) in
-  (* pack via iteration to avoid exposing Bitset internals *)
-  Bitset.iter t.bits (fun lin ->
-      let b = !pos + (lin lsr 3) in
-      Bytes.set_uint8 out b (Bytes.get_uint8 out b lor (1 lsl (lin land 7))));
+  Bitset.write_packed t.bits out base;
   out
 
 let of_bytes buf =
@@ -82,15 +88,10 @@ let of_bytes buf =
   let dims = Array.init rank (fun k -> Int32.to_int (Bytes.get_int32_le buf (4 + (4 * k)))) in
   Array.iter (fun d -> if d <= 0 then invalid_arg "Index_set.of_bytes: bad dims") dims;
   let shape = Shape.create dims in
-  let bits_len = (Shape.nelems shape + 7) / 8 in
   let base = 4 + (4 * rank) in
-  if Bytes.length buf <> base + bits_len then invalid_arg "Index_set.of_bytes: bad length";
-  let t = create shape in
-  for lin = 0 to Shape.nelems shape - 1 do
-    if Bytes.get_uint8 buf (base + (lin lsr 3)) land (1 lsl (lin land 7)) <> 0 then
-      Bitset.set t.bits lin
-  done;
-  t
+  if Bytes.length buf <> base + ((Shape.nelems shape + 7) / 8) then
+    invalid_arg "Index_set.of_bytes: bad length";
+  { shape; bits = Bitset.read_packed (Shape.nelems shape) buf base }
 
 let random_member t rng =
   let n = cardinal t in

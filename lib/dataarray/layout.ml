@@ -70,9 +70,10 @@ let contiguous_run t shape dt idx =
     (* Remaining elements of the row-major tail from idx. *)
     Shape.nelems shape - Shape.linearize shape idx
   | Chunked cdims ->
-    let rank = Array.length cdims in
-    let within_last = idx.(rank - 1) mod cdims.(rank - 1) in
-    cdims.(rank - 1) - within_last
+    (* To the end of the chunk's row, or of the array's row at a ragged
+       edge, where chunk padding follows. *)
+    let last = Array.length cdims - 1 in
+    min (cdims.(last) - (idx.(last) mod cdims.(last))) ((Shape.dims shape).(last) - idx.(last))
 
 let to_string = function
   | Contiguous -> "contiguous"

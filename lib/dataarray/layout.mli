@@ -33,6 +33,8 @@ val index_of_offset : t -> Shape.t -> Dtype.t -> int -> int array option
 val contiguous_run : t -> Shape.t -> Dtype.t -> int array -> int
 (** [contiguous_run l s dt idx] is the number of elements starting at
     [idx] (inclusive) that are stored contiguously on disk — the longest
-    run a single read can cover. *)
+    run a single read can cover.  With chunking the run ends at the
+    chunk's row end, or at the array's row end where chunk padding
+    follows. *)
 
 val to_string : t -> string

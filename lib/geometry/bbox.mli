@@ -24,6 +24,11 @@ val volume : t -> float
 val min_dist : t -> t -> float
 (** Minimum Euclidean distance between two boxes (0 when they intersect). *)
 
+val lattice_bounds : t -> int array * int array
+(** Inclusive integer corners [(lo, hi)] of the lattice points inside
+    [b]: [lo] rounded up, [hi] rounded down (with a 1e-9 slack).  Some
+    [lo.(i) > hi.(i)] when there are none. *)
+
 val iter_lattice : t -> (int array -> unit) -> unit
 (** [iter_lattice b f] calls [f] on every integer point inside [b]
     (inclusive bounds, after rounding [lo] up and [hi] down).  The same

@@ -22,10 +22,9 @@ let dedup points =
   let tbl = Hashtbl.create 64 in
   List.filter
     (fun p ->
-      let key = Array.to_list p in
-      if Hashtbl.mem tbl key then false
+      if Hashtbl.mem tbl p then false
       else begin
-        Hashtbl.add tbl key ();
+        Hashtbl.add tbl p ();
         true
       end)
     points
@@ -160,11 +159,30 @@ let bbox t = Bbox.of_points (vertices t)
 
 let center_distance a b = Vec.dist (centroid a) (centroid b)
 
+(* [Vec.dist], inlined so the pairwise loop below allocates nothing. *)
+let[@inline] dist p q =
+  let s = ref 0.0 in
+  for i = 0 to Array.length p - 1 do
+    let d = p.(i) -. q.(i) in
+    s := !s +. (d *. d)
+  done;
+  sqrt !s
+
 let boundary_distance a b =
-  let va = vertices a and vb = vertices b in
-  List.fold_left
-    (fun acc p -> List.fold_left (fun acc q -> Float.min acc (Vec.dist p q)) acc vb)
-    infinity va
+  let vb = vertices b in
+  let best = ref infinity in
+  List.iter
+    (fun p ->
+      let rec scan = function
+        | [] -> ()
+        | q :: rest ->
+          let d = dist p q in
+          if d < !best then best := d;
+          scan rest
+      in
+      scan vb)
+    (vertices a);
+  !best
 
 let merge a b = of_points (vertices a @ vertices b)
 
@@ -269,6 +287,103 @@ let satisfies_halfspaces ?(eps = geom_eps) constraints p =
       let tol = eps *. (1.0 +. Vec.norm h.coeffs) in
       if h.equality then Float.abs v <= tol *. 10.0 else v <= tol)
     constraints
+
+(* Slack added to every constraint when solving a row: far above the
+   1e-6-scaled tolerance [contains] accepts, far below one cell. *)
+let row_slack = 1e-4
+
+let iter_rows t f =
+  let lo, hi = Bbox.lattice_bounds (bbox t) in
+  let last = t.dim - 1 in
+  let feasible = ref true in
+  Array.iteri (fun k l -> if l > hi.(k) then feasible := false) lo;
+  if !feasible then begin
+    let hs =
+      Array.of_list
+        (List.map (fun h -> (h, row_slack *. (1.0 +. Vec.norm h.coeffs))) (halfspaces t))
+    in
+    let cur = Array.copy lo in
+    let inside x =
+      cur.(last) <- x;
+      contains ~eps:1e-6 t (Vec.of_int_point cur)
+    in
+    (* Candidate interval along the last axis: every constraint, with
+       the outer coordinates of [cur] fixed and [row_slack] added, bounds
+       x from one side (both sides for equalities).  A constraint that
+       does not involve x can only empty the row. *)
+    let candidate () =
+      let xlo = ref (float_of_int lo.(last)) and xhi = ref (float_of_int hi.(last)) in
+      let empty = ref false in
+      Array.iter
+        (fun (h, slack) ->
+          let a = h.coeffs.(last) in
+          let s = ref h.rhs in
+          for k = 0 to last - 1 do
+            s := !s -. (h.coeffs.(k) *. float_of_int cur.(k))
+          done;
+          let upper = !s +. slack and lower = !s -. slack in
+          if a = 0.0 then begin
+            if upper < 0.0 || (h.equality && lower > 0.0) then empty := true
+          end
+          else if a > 0.0 then begin
+            xhi := Float.min !xhi (upper /. a);
+            if h.equality then xlo := Float.max !xlo (lower /. a)
+          end
+          else begin
+            xlo := Float.max !xlo (upper /. a);
+            if h.equality then xhi := Float.min !xhi (lower /. a)
+          end)
+        hs;
+      (* widen by one cell, clamp to the bbox in floats, then round *)
+      let clo = Float.max (float_of_int lo.(last)) (Float.floor !xlo -. 1.0) in
+      let chi = Float.min (float_of_int hi.(last)) (Float.ceil !xhi +. 1.0) in
+      if !empty || clo > chi then None else Some (int_of_float clo, int_of_float chi)
+    in
+    (* [contains] is a conjunction of convex tests, so a row's inside
+       points form one interval; trimming and extending the candidate's
+       ends with [contains] itself finds that interval exactly. *)
+    let row () =
+      match candidate () with
+      | None -> ()
+      | Some (clo, chi) ->
+        let a = ref clo in
+        if inside !a then
+          while !a > lo.(last) && inside (!a - 1) do
+            decr a
+          done
+        else begin
+          incr a;
+          while !a <= chi && not (inside !a) do
+            incr a
+          done
+        end;
+        if !a <= chi then begin
+          let b = ref chi in
+          if inside !b then
+            while !b < hi.(last) && inside (!b + 1) do
+              incr b
+            done
+          else begin
+            (* [a <= chi] is inside, so [chi] outside means [a < chi] *)
+            decr b;
+            while not (inside !b) do
+              decr b
+            done
+          end;
+          cur.(last) <- !a;
+          f cur (!b - !a + 1)
+        end
+    in
+    let rec walk k =
+      if k = last then row ()
+      else
+        for v = lo.(k) to hi.(k) do
+          cur.(k) <- v;
+          walk (k + 1)
+        done
+    in
+    walk 0
+  end
 
 let pp fmt t =
   let kind =

@@ -57,8 +57,18 @@ val measure : t -> float
 (** Length / area / volume according to {!affine_dim} (0 for a point). *)
 
 val iter_lattice : t -> (int array -> unit) -> unit
-(** Visit every integer point inside the hull (boundary inclusive).  The
-    buffer passed to the callback is reused; copy to retain. *)
+(** Visit every integer point of the hull's bounding box that
+    [contains ~eps:1e-6] accepts, one point at a time.  The buffer passed
+    to the callback is reused; copy to retain. *)
+
+val iter_rows : t -> (int array -> int -> unit) -> unit
+(** The points of {!iter_lattice}, one lattice row at a time: [f p len]
+    covers [p] and the [len - 1] points after it along the last axis.
+    Each row's interval is solved from {!halfspaces}, widened by one
+    cell, then trimmed and extended with [contains ~eps:1e-6]; as that
+    test is a conjunction of convex ones, the rows hold exactly
+    {!iter_lattice}'s points, at a cost per row rather than per point.
+    The buffer [p] is reused; copy to retain. *)
 
 val lattice_count : t -> int
 (** Number of integer points inside the hull. *)

@@ -80,10 +80,17 @@ let run_tasks t n f =
               in
               loop ()
             in
-            let spawned = min t.jobs n in
+            (* The calling domain is one of the [jobs] workers: one spawn
+               fewer per fan-out (and the runtime does not reclaim all of
+               a finished domain's heap). *)
+            let spawned = min t.jobs n - 1 in
             Kondo_obs.Registry.inc ~by:spawned (Lazy.force m_spawns);
             let domains = List.init spawned (fun _ -> Domain.spawn worker) in
-            List.iter Domain.join domains)
+            Fun.protect
+              ~finally:(fun () ->
+                Domain.DLS.set inside_worker false;
+                List.iter Domain.join domains)
+              worker)
       end);
   results
 

@@ -38,16 +38,12 @@ let access t v =
 
 let is_useful t v =
   (* A plan is useful when at least one in-bounds index is selected. *)
-  let found = ref false in
-  (try
-     List.iter
-       (fun slab ->
-         Hyperslab.iter ~clip:t.shape slab (fun _ ->
-             found := true;
-             raise Exit))
-       (t.plan v)
-   with Exit -> ());
-  !found
+  List.exists
+    (fun slab ->
+      match Hyperslab.iter_runs ~clip:t.shape slab (fun _ _ -> raise_notrace Exit) with
+      | () -> false
+      | exception Exit -> true)
+    (t.plan v)
 
 let iter_access t v f =
   List.iter (fun slab -> Hyperslab.iter ~clip:t.shape slab f) (t.plan v)
@@ -97,11 +93,19 @@ let exhaustive_truth t =
       List.iter (fun slab -> Index_set.add_slab set slab) (t.plan v));
   set
 
-let truth_cache : (string, Index_set.t) Hashtbl.t = Hashtbl.create 16
+(* Keyed on the program value itself: an entry lives exactly as long as
+   its program does. *)
+module Truth_memo = Ephemeron.K1.Make (struct
+  type nonrec t = t
+
+  let equal = ( == )
+  let hash t = Hashtbl.hash (t.name, Shape.dims t.shape)
+end)
+
+let truth_memo : Index_set.t Truth_memo.t = Truth_memo.create 16
 
 let ground_truth t =
-  let key = t.name ^ "/" ^ Shape.to_string t.shape in
-  match Hashtbl.find_opt truth_cache key with
+  match Truth_memo.find_opt truth_memo t with
   | Some s -> s
   | None ->
     let s =
@@ -112,7 +116,7 @@ let ground_truth t =
         set
       | None -> exhaustive_truth t
     in
-    Hashtbl.add truth_cache key s;
+    Truth_memo.replace truth_memo t s;
     s
 
 let with_dataset t name = { t with dataset = name; name = t.name ^ "@" ^ name }

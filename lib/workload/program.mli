@@ -61,7 +61,10 @@ val exhaustive_truth : t -> Index_set.t
 
 val ground_truth : t -> Index_set.t
 (** The analytic predicate rasterized when present, else
-    {!exhaustive_truth}.  Cached per program name + shape. *)
+    {!exhaustive_truth}.  Memoized per program value (physical equality)
+    in an ephemeron table: the entry is dropped once the program value is
+    garbage, so renamed or rebuilt programs do not accumulate truth sets.
+    A structurally equal but distinct program value recomputes it. *)
 
 val param_count : t -> int
 (** |Θ| as a count of integer valuations. *)

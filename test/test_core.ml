@@ -253,6 +253,30 @@ let qcheck_carver_covers_inputs =
       let raster = Carver.rasterize (Shape.create [| 48; 48 |]) r.Carver.hulls in
       List.for_all (fun p -> Index_set.mem raster p) pts)
 
+(* Carve clouds that reach past the shape on every side, and compare the
+   row rasterizer with the point-at-a-time one. *)
+let qcheck_rasterize_matches_points =
+  QCheck.Test.make ~name:"rasterize equals the per-point rasterizer, clipped" ~count:100
+    QCheck.(
+      pair bool
+        (list_of_size (Gen.int_range 1 50)
+           (triple (int_range (-8) 30) (int_range (-8) 30) (int_range (-8) 30))))
+    (fun (three_d, raw) ->
+      let dims = if three_d then [| 20; 20; 20 |] else [| 20; 20 |] in
+      let pts =
+        List.map (fun (x, y, z) -> if three_d then [| x; y; z |] else [| x; y |]) raw
+      in
+      let shape = Shape.create dims in
+      let r = Carver.carve_points ~config:Config.default ~dims pts in
+      let per_point = Index_set.create shape in
+      List.iter
+        (fun h ->
+          Kondo_geometry.Hull.iter_lattice h (fun idx ->
+              ignore (Index_set.add_if_in_bounds per_point idx)))
+        r.Carver.hulls;
+      let rows = Carver.rasterize shape r.Carver.hulls in
+      Index_set.equal rows per_point && Index_set.cardinal rows = Index_set.cardinal per_point)
+
 let qcheck_carver_fixpoint =
   QCheck.Test.make ~name:"after merging, no two hulls are CLOSE" ~count:60 arb_point_cloud
     (fun raw ->
@@ -371,6 +395,32 @@ let test_keep_intervals_chunked () =
       Alcotest.(check bool) "chunked offsets covered" true
         (Kondo_interval.Interval_set.covers keep (Kondo_interval.Interval.make off (off + esz))))
 
+(* The element-at-a-time interval build: one interval per kept element,
+   sorted and coalesced. *)
+let keep_intervals_per_element p approx ~layout =
+  let esz = Dtype.size p.Program.dtype in
+  let offsets = ref [] in
+  Index_set.iter approx (fun idx ->
+      offsets := Layout.element_offset layout p.Program.shape p.Program.dtype idx :: !offsets);
+  Kondo_interval.Interval_set.of_sorted
+    (List.map (fun off -> Kondo_interval.Interval.make off (off + esz)) (List.sort compare !offsets))
+
+let qcheck_keep_intervals_match_elements =
+  QCheck.Test.make ~name:"keep_intervals equals the per-element interval build" ~count:200
+    QCheck.(
+      triple
+        (list_of_size (Gen.int_range 0 80) (pair (int_range 0 14) (int_range 0 10)))
+        (pair (int_range 1 6) (int_range 1 6))
+        bool)
+    (fun (raw, (c0, c1), chunked) ->
+      (* 15x11: chunk dims rarely divide it, so ragged edges are common *)
+      let p = { (Stencils.ldc2d ~n:16 ()) with Program.shape = Shape.create [| 15; 11 |] } in
+      let approx = Index_set.of_list p.Program.shape (List.map (fun (x, y) -> [| x; y |]) raw) in
+      let layout = if chunked then Layout.Chunked [| c0; c1 |] else Layout.Contiguous in
+      Kondo_interval.Interval_set.equal
+        (Pipeline.keep_intervals p approx ~layout)
+        (keep_intervals_per_element p approx ~layout))
+
 let test_debloat_file_end_to_end () =
   let p = Stencils.ldc2d ~n:16 () in
   let src = Filename.temp_file "kondo_pipe_src" ".kh5" in
@@ -449,6 +499,7 @@ let suite =
       Alcotest.test_case "carver: single-hull baseline swallows gaps" `Quick
         test_single_hull_baseline;
       QCheck_alcotest.to_alcotest qcheck_carver_covers_inputs;
+      QCheck_alcotest.to_alcotest qcheck_rasterize_matches_points;
       QCheck_alcotest.to_alcotest qcheck_carver_fixpoint;
       QCheck_alcotest.to_alcotest qcheck_metrics_bounds;
       QCheck_alcotest.to_alcotest qcheck_schedule_deterministic;
@@ -461,6 +512,7 @@ let suite =
         test_pipeline_approx_superset_of_observed;
       Alcotest.test_case "pipeline: keep intervals roundtrip" `Quick test_keep_intervals_roundtrip;
       Alcotest.test_case "pipeline: keep intervals chunked" `Quick test_keep_intervals_chunked;
+      QCheck_alcotest.to_alcotest qcheck_keep_intervals_match_elements;
       Alcotest.test_case "pipeline: debloat file end to end" `Quick test_debloat_file_end_to_end;
       Alcotest.test_case "pipeline: reruns survive debloated file" `Quick
         test_debloat_supports_program_reruns;

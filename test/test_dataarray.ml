@@ -408,6 +408,203 @@ let test_index_set_random_member () =
   let empty = Index_set.create s in
   Alcotest.(check bool) "empty" true (Index_set.random_member empty rng = None)
 
+(* ---------------- Run-length kernels ---------------- *)
+
+(* A clip shape of rank 1-3 and a slab of the same rank whose starts may
+   be negative or past the shape, with stride < block overlaps and
+   count > 1. *)
+let arb_clip_case =
+  let open QCheck in
+  let gen =
+    Gen.(
+      int_range 1 3 >>= fun rank ->
+      let f g = flatten_l (List.init rank (fun _ -> g)) in
+      f (int_range 1 8) >>= fun dims ->
+      f (int_range (-4) 9) >>= fun start ->
+      f (int_range 1 4) >>= fun stride ->
+      f (int_range 1 3) >>= fun count ->
+      f (int_range 1 4) >|= fun block ->
+      ( Shape.create (Array.of_list dims),
+        Hyperslab.make ~start:(Array.of_list start) ~stride:(Array.of_list stride)
+          ~count:(Array.of_list count) ~block:(Array.of_list block) () ))
+  in
+  make ~print:(fun (shape, s) -> Shape.to_string shape ^ " " ^ Hyperslab.to_string s) gen
+
+(* Membership of [iter ~clip], per linear index. *)
+let clipped_elements shape s =
+  let a = Array.make (Shape.nelems shape) false in
+  Hyperslab.iter ~clip:shape s (fun idx -> a.(Shape.linearize shape idx) <- true);
+  a
+
+(* Rows in visiting order, consecutive repeats collapsed. *)
+let collapse l =
+  List.rev (List.fold_left (fun acc x -> match acc with y :: _ when y = x -> acc | _ -> x :: acc) [] l)
+
+let qcheck_iter_runs_matches_iter =
+  QCheck.Test.make ~name:"iter_runs covers exactly iter ~clip, row by row" ~count:500 arb_clip_case
+    (fun (shape, s) ->
+      let dims = Shape.dims shape in
+      let row_len = dims.(Array.length dims - 1) in
+      let expected = clipped_elements shape s in
+      let got = Array.make (Shape.nelems shape) false in
+      let runs = ref [] in
+      Hyperslab.iter_runs ~clip:shape s (fun start len ->
+          runs := (start, len) :: !runs;
+          for i = start to start + len - 1 do
+            got.(i) <- true
+          done);
+      let runs = List.rev !runs in
+      let well_formed =
+        List.for_all
+          (fun (start, len) -> len >= 1 && start >= 0 && (start mod row_len) + len <= row_len)
+          runs
+      in
+      (* within a row visit, runs are disjoint and increasing; a repeated
+         visit of the same row (outer blocks overlap) restarts at [first] *)
+      let rec ordered first = function
+        | (s1, l1) :: ((s2, _) :: _ as rest) ->
+          if s1 / row_len <> s2 / row_len then ordered s2 rest
+          else (s2 >= s1 + l1 || s2 = first) && ordered first rest
+        | _ -> true
+      in
+      let ordered = function [] -> true | (s0, _) :: _ as l -> ordered s0 l in
+      let iter_rows = ref [] in
+      Hyperslab.iter ~clip:shape s (fun idx -> iter_rows := (Shape.linearize shape idx / row_len) :: !iter_rows);
+      well_formed && ordered runs && got = expected
+      && collapse (List.rev !iter_rows) = collapse (List.map (fun (st, _) -> st / row_len) runs))
+
+let arb_ranges =
+  QCheck.(
+    pair (int_range 1 100)
+      (list_of_size (Gen.int_range 0 12) (pair (int_range 0 99) (int_range 0 40))))
+
+let qcheck_set_range_matches_bits =
+  QCheck.Test.make ~name:"set_range and range_full match per-bit loops" ~count:500 arb_ranges
+    (fun (n, ranges) ->
+      let b = Bitset.create n and model = Array.make n false in
+      let clip (start, len) =
+        let start = start mod n in
+        (start, min len (n - start))
+      in
+      let full_model (start, len) =
+        let ok = ref true in
+        for i = start to start + len - 1 do
+          if not model.(i) then ok := false
+        done;
+        !ok
+      in
+      List.for_all
+        (fun r ->
+          let start, len = clip r in
+          (* probe before and after filling, so both answers occur *)
+          let before = Bitset.range_full b start len = full_model (start, len) in
+          Bitset.set_range b start len;
+          for i = start to start + len - 1 do
+            model.(i) <- true
+          done;
+          let count = Array.fold_left (fun c x -> if x then c + 1 else c) 0 model in
+          before
+          && Bitset.cardinal b = count
+          && Bitset.range_full b start len
+          && List.for_all (fun i -> Bitset.mem b i = model.(i)) (List.init n Fun.id))
+        ranges
+      && List.for_all (fun r -> Bitset.range_full b (fst (clip r)) (snd (clip r)) = full_model (clip r)) ranges)
+
+let test_set_range_bounds () =
+  let b = Bitset.create 10 in
+  Bitset.set_range b 3 0;
+  Alcotest.(check int) "empty range adds nothing" 0 (Bitset.cardinal b);
+  Alcotest.(check bool) "empty range is full" true (Bitset.range_full b 10 0);
+  let oob = Invalid_argument "Bitset: range out of range" in
+  Alcotest.check_raises "past the end" oob (fun () -> Bitset.set_range b 5 6);
+  Alcotest.check_raises "negative start" oob (fun () -> Bitset.set_range b (-1) 2);
+  Alcotest.check_raises "negative length" oob (fun () -> ignore (Bitset.range_full b 2 (-1)));
+  Bitset.set_range b 0 10;
+  Bitset.set_range b 2 5;
+  Alcotest.(check int) "overlap counted once" 10 (Bitset.cardinal b)
+
+(* [clip_case] plus a set that holds some random points, and sometimes the
+   whole clipped slab with at most one element left out. *)
+let arb_cover_case =
+  QCheck.(triple arb_clip_case (list_of_size (Gen.int_range 0 6) (int_range 0 999)) (int_range 0 2))
+
+let qcheck_add_covers_slab =
+  QCheck.Test.make ~name:"add_slab and covers_slab match the element loops" ~count:500
+    arb_cover_case (fun ((shape, s), points, mode) ->
+      let n = Shape.nelems shape in
+      let base = Index_set.create shape in
+      List.iter (fun lin -> Index_set.add base (Shape.delinearize shape (lin mod n))) points;
+      let elems = ref [] in
+      Hyperslab.iter ~clip:shape s (fun idx -> elems := Array.copy idx :: !elems);
+      (* mode 1: all of the slab; mode 2: all but its first element *)
+      let skip = match (mode, List.rev !elems) with 2, e :: _ -> Some e | _ -> None in
+      if mode > 0 then
+        List.iter (fun idx -> if Some idx <> skip then Index_set.add base idx) !elems;
+      let covered = List.for_all (Index_set.mem base) !elems in
+      let by_runs = Index_set.copy base and by_elems = Index_set.copy base in
+      Index_set.add_slab by_runs s;
+      List.iter (Index_set.add by_elems) !elems;
+      Index_set.covers_slab base s = covered
+      && Index_set.equal by_runs by_elems
+      && Index_set.cardinal by_runs = Index_set.cardinal by_elems
+      && Index_set.covers_slab by_runs s)
+
+let qcheck_index_set_iter_runs =
+  QCheck.Test.make ~name:"index set iter_runs: maximal runs of iter's members" ~count:300
+    QCheck.(list_of_size (Gen.int_range 0 60) (int_range 0 99))
+    (fun raw ->
+      let shape = Shape.create [| 10; 10 |] in
+      let set = Index_set.create shape in
+      List.iter (fun lin -> Index_set.add set (Shape.delinearize shape lin)) raw;
+      let members = ref [] in
+      Index_set.iter set (fun idx -> members := Shape.linearize shape idx :: !members);
+      let runs = ref [] in
+      Index_set.iter_runs set (fun start len -> runs := (start, len) :: !runs);
+      let runs = List.rev !runs in
+      let expanded = List.concat_map (fun (s, l) -> List.init l (fun i -> s + i)) runs in
+      let rec maximal = function
+        | (s1, l1) :: ((s2, _) :: _ as rest) -> s2 > s1 + l1 && maximal rest
+        | _ -> true
+      in
+      expanded = List.rev !members && maximal runs)
+
+(* Pinned wire bytes: rank 2, dims 3x5, members 0, 4, 7, 8, 14 (row-major). *)
+let golden_index_set_bytes =
+  "\002\000\000\000\003\000\000\000\005\000\000\000\x91\x41"
+
+let test_index_set_golden_bytes () =
+  let shape = Shape.create [| 3; 5 |] in
+  let set = Index_set.create shape in
+  List.iter (fun lin -> Index_set.add set (Shape.delinearize shape lin)) [ 0; 4; 7; 8; 14 ];
+  Alcotest.(check string) "encoding" golden_index_set_bytes
+    (Bytes.to_string (Index_set.to_bytes set));
+  let decoded = Index_set.of_bytes (Bytes.of_string golden_index_set_bytes) in
+  Alcotest.(check bool) "decoding" true (Index_set.equal set decoded);
+  Alcotest.(check int) "decoded cardinal" 5 (Index_set.cardinal decoded);
+  (* a set padding bit (bit 15 of a 15-element set) is ignored *)
+  let padded = Index_set.of_bytes (Bytes.of_string "\002\000\000\000\003\000\000\000\005\000\000\000\x91\xc1") in
+  Alcotest.(check bool) "padding ignored" true (Index_set.equal set padded);
+  Alcotest.(check int) "padding not counted" 5 (Index_set.cardinal padded);
+  Alcotest.(check string) "padding dropped on re-encoding" golden_index_set_bytes
+    (Bytes.to_string (Index_set.to_bytes padded));
+  let rejects name msg s =
+    Alcotest.check_raises name (Invalid_argument msg) (fun () -> ignore (Index_set.of_bytes (Bytes.of_string s)))
+  in
+  rejects "truncated" "Index_set.of_bytes: truncated" "\002\000\000";
+  rejects "rank 0" "Index_set.of_bytes: bad rank" "\000\000\000\000";
+  rejects "rank 9" "Index_set.of_bytes: bad rank" "\009\000\000\000";
+  rejects "header cut" "Index_set.of_bytes: bad rank" "\002\000\000\000\003\000\000\000";
+  rejects "zero dim" "Index_set.of_bytes: bad dims" "\002\000\000\000\000\000\000\000\005\000\000\000";
+  rejects "short bits" "Index_set.of_bytes: bad length" "\002\000\000\000\003\000\000\000\005\000\000\000\x91";
+  rejects "long bits" "Index_set.of_bytes: bad length"
+    "\002\000\000\000\003\000\000\000\005\000\000\000\x91\x41\000"
+
+let test_layout_contiguous_run_ragged () =
+  (* 5x7 array in 2x3 chunks: the last chunk column holds only column 6 *)
+  let s = Shape.create [| 5; 7 |] and l = Layout.Chunked [| 2; 3 |] in
+  Alcotest.(check int) "ragged chunk column" 1 (Layout.contiguous_run l s Dtype.Float64 [| 4; 6 |]);
+  Alcotest.(check int) "full chunk column" 3 (Layout.contiguous_run l s Dtype.Float64 [| 4; 3 |])
+
 let suite =
   ( "dataarray",
     [ Alcotest.test_case "dtype sizes" `Quick test_dtype_sizes;
@@ -449,4 +646,12 @@ let suite =
       Alcotest.test_case "index_set set ops" `Quick test_index_set_set_ops;
       Alcotest.test_case "index_set iter roundtrip" `Quick test_index_set_iter_roundtrip;
       QCheck_alcotest.to_alcotest qcheck_index_set_serialization;
-      Alcotest.test_case "index_set random member" `Quick test_index_set_random_member ] )
+      Alcotest.test_case "index_set random member" `Quick test_index_set_random_member;
+      QCheck_alcotest.to_alcotest qcheck_iter_runs_matches_iter;
+      QCheck_alcotest.to_alcotest qcheck_set_range_matches_bits;
+      Alcotest.test_case "bitset set_range bounds" `Quick test_set_range_bounds;
+      QCheck_alcotest.to_alcotest qcheck_add_covers_slab;
+      QCheck_alcotest.to_alcotest qcheck_index_set_iter_runs;
+      Alcotest.test_case "index_set golden bytes" `Quick test_index_set_golden_bytes;
+      Alcotest.test_case "layout contiguous run at a ragged edge" `Quick
+        test_layout_contiguous_run_ragged ] )

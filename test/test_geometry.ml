@@ -251,6 +251,55 @@ let qcheck_hull_measure_le_bbox =
       let h = Hull.of_int_points (List.map (fun (x, y) -> [| x; y |]) pts) in
       Hull.measure h <= Bbox.volume (Hull.bbox h) +. 1e-6)
 
+(* Hulls of every affine kind, with coordinates reaching below zero:
+   a point, a segment, a 1D run, a 2D polygon, a planar polygon in 3D
+   (integer combinations of two random directions) and a 3D polytope. *)
+let arb_any_hull =
+  let open QCheck in
+  let gen =
+    Gen.(
+      let coord = int_range (-6) 14 and step = int_range (-3) 3 in
+      let vec d = array_size (return d) step in
+      let pt d = array_size (return d) coord in
+      int_range 0 5 >>= function
+      | 0 -> int_range 2 3 >>= fun d -> pt d >|= fun p -> [ p ]
+      | 1 ->
+        int_range 2 3 >>= fun d ->
+        pt d >>= fun p0 ->
+        vec d >>= fun u ->
+        list_size (int_range 1 5) (int_range (-4) 4) >|= fun ks ->
+        p0 :: List.map (fun k -> Array.mapi (fun i x -> x + (k * u.(i))) p0) ks
+      | 2 -> list_size (int_range 1 6) (pt 1)
+      | 3 -> list_size (int_range 3 12) (pt 2)
+      | 4 ->
+        pt 3 >>= fun p0 ->
+        vec 3 >>= fun u ->
+        vec 3 >>= fun v ->
+        list_size (int_range 2 10) (pair (int_range (-3) 3) (int_range (-3) 3)) >|= fun ks ->
+        p0 :: List.map (fun (i, j) -> Array.mapi (fun k x -> x + (i * u.(k)) + (j * v.(k))) p0) ks
+      | _ -> list_size (int_range 4 14) (pt 3))
+  in
+  let print pts =
+    String.concat " "
+      (List.map (fun p -> "(" ^ String.concat "," (Array.to_list (Array.map string_of_int p)) ^ ")") pts)
+  in
+  make ~print gen
+
+let qcheck_iter_rows_matches_lattice =
+  QCheck.Test.make ~name:"iter_rows visits exactly iter_lattice's points" ~count:400 arb_any_hull
+    (fun pts ->
+      let h = Hull.of_int_points pts in
+      let per_point = ref [] and per_row = ref [] in
+      Hull.iter_lattice h (fun p -> per_point := Array.to_list p :: !per_point);
+      Hull.iter_rows h (fun p len ->
+          let last = Array.length p - 1 in
+          for k = 0 to len - 1 do
+            let q = Array.copy p in
+            q.(last) <- p.(last) + k;
+            per_row := Array.to_list q :: !per_row
+          done);
+      List.sort compare !per_point = List.sort compare !per_row)
+
 let suite =
   ( "geometry",
     [ Alcotest.test_case "vec ops" `Quick test_vec_ops;
@@ -286,4 +335,5 @@ let suite =
       QCheck_alcotest.to_alcotest qcheck_hull3_contains_inputs;
       QCheck_alcotest.to_alcotest qcheck_merge_superset;
       QCheck_alcotest.to_alcotest qcheck_lattice_within_bbox;
-      QCheck_alcotest.to_alcotest qcheck_hull_measure_le_bbox ] )
+      QCheck_alcotest.to_alcotest qcheck_hull_measure_le_bbox;
+      QCheck_alcotest.to_alcotest qcheck_iter_rows_matches_lattice ] )

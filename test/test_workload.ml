@@ -353,8 +353,15 @@ let qcheck_useful_iff_plan_nonempty =
     QCheck.(pair (int_range 0 31) (int_range 0 31))
     (fun (a, b) ->
       let p = Stencils.cs ~n:32 3 in
+      (* walks start at (0, 0); shifted by 32 or 33 they select nothing in
+         bounds although the plan is non-empty *)
+      let by = 30 + (a mod 4) in
+      let shift s = { s with Hyperslab.start = Array.map (fun x -> x + by) s.Hyperslab.start } in
+      let shifted = { p with Program.plan = (fun v -> List.map shift (p.Program.plan v)) } in
       let v = v2 a b in
-      Program.is_useful p v = not (Index_set.is_empty (Program.access p v)))
+      List.for_all
+        (fun p -> Program.is_useful p v = not (Index_set.is_empty (Program.access p v)))
+        [ p; shifted ])
 
 let qcheck_access_within_truth =
   QCheck.Test.make ~name:"every in-Θ access lies within ground truth" ~count:100
