@@ -133,6 +133,57 @@ let test_rasterize_points =
              ignore (Kondo_dataarray.Index_set.add_if_in_bounds out idx));
          out))
 
+(* Interval sets at the scale of MSI's default run table (~51,000 kept
+   runs): bulk construction from shuffled input, a merge of two
+   interleaved sets, and reopening a debloated file with 50,000 runs. *)
+let spread_intervals n ~phase =
+  List.init n (fun i -> Kondo_interval.Interval.make ((32 * i) + phase) ((32 * i) + phase + 8))
+
+let shuffled_50k =
+  let a = Array.of_list (spread_intervals 50_000 ~phase:0) in
+  Kondo_prng.Rng.shuffle_in_place rng a;
+  Array.to_list a
+
+let test_set_of_list =
+  Test.make ~name:"interval-set-of-list-50k"
+    (Staged.stage (fun () -> Kondo_interval.Interval_set.of_list shuffled_50k))
+
+let union_a = Kondo_interval.Interval_set.of_sorted (spread_intervals 50_000 ~phase:0)
+let union_b = Kondo_interval.Interval_set.of_sorted (spread_intervals 50_000 ~phase:12)
+
+let test_set_union =
+  Test.make ~name:"interval-set-union-50k"
+    (Staged.stage (fun () -> Kondo_interval.Interval_set.union union_a union_b))
+
+(* Built on first use (it writes two temporary files), not at start-up. *)
+let sparse_kh5_bytes =
+  lazy
+    (let n = 50_000 in
+     let ds =
+       Kondo_h5.Dataset.dense ~name:"data" ~dtype:Kondo_dataarray.Dtype.Float64
+         ~shape:(Kondo_dataarray.Shape.create [| 2 * n |]) ()
+     in
+     let src = Filename.temp_file "kondo_micro" ".kh5" in
+     let dst = Filename.temp_file "kondo_micro" ".kh5" in
+     Kondo_h5.Writer.write src [ (ds, fun idx -> float_of_int idx.(0)) ];
+     let f = Kondo_h5.File.open_file src in
+     let keep =
+       Kondo_interval.Interval_set.of_sorted
+         (List.init n (fun i -> Kondo_interval.Interval.make (16 * i) ((16 * i) + 8)))
+     in
+     Kondo_h5.Writer.write_debloated dst ~source:f ~keep:(fun _ -> keep);
+     Kondo_h5.File.close f;
+     let b = In_channel.with_open_bin dst In_channel.input_all in
+     Sys.remove src;
+     Sys.remove dst;
+     Bytes.of_string b)
+
+let test_kh5_open_sparse =
+  Test.make ~name:"kh5-open-sparse-50k"
+    (Staged.stage (fun () ->
+         Kondo_h5.File.open_port
+           (Kondo_audit.Io_port.of_bytes ~path:"mem" (Lazy.force sparse_kh5_bytes))))
+
 let tests =
   Test.make_grouped ~name:"kondo"
     [ test_hull2d;
@@ -149,10 +200,14 @@ let tests =
       test_add_elements;
       test_covers_slab;
       test_rasterize_rows;
-      test_rasterize_points ]
+      test_rasterize_points;
+      test_set_of_list;
+      test_set_union;
+      test_kh5_open_sparse ]
 
 let run () =
   Exp_common.header "Microbench" "Bechamel micro-benchmarks of the substrates (ns/run, OLS fit)";
+  ignore (Lazy.force sparse_kh5_bytes);
   let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.25) ~kde:None () in
   let raw = Benchmark.all cfg [ Instance.monotonic_clock ] tests in
   let ols =

@@ -27,6 +27,8 @@ let parse_header port =
   let rest = port.Io_port.pread 12 (header_len - 12) in
   (n, Binio.cursor rest)
 
+let run_sum = "run lengths do not sum to stored length"
+
 let parse_entry c =
   let name = Binio.read_str16 c in
   let dtype =
@@ -56,19 +58,27 @@ let parse_entry c =
       (* each run needs 16 header bytes: reject counts the header cannot hold
          before allocating *)
       if nruns * 16 > Binio.remaining c then raise (Binio.Corrupt "bad run count");
-      let packed = ref 0 in
+      (* [sparse_locate] binary-searches this table, so it must already be
+         the writer's canonical form: non-empty runs, each starting
+         strictly after the previous one's end, packed back to back. *)
+      let packed = ref 0 and prev_hi = ref (-1) in
       let runs =
         Array.init nruns (fun _ ->
             let lo = Binio.read_u64 c in
             let hi = Binio.read_u64 c in
-            if hi < lo then raise (Binio.Corrupt "bad run");
+            if hi <= lo then raise (Binio.Corrupt "empty run");
+            if lo <= !prev_hi then raise (Binio.Corrupt "runs unsorted or touching");
+            (* checked as we go, so the running sum cannot overflow *)
+            if hi - lo > stored_len - !packed then raise (Binio.Corrupt run_sum);
             let r = (lo, hi, !packed) in
             packed := !packed + (hi - lo);
+            prev_hi := hi;
             r)
       in
+      if !packed <> stored_len then raise (Binio.Corrupt run_sum);
       let keep =
-        Interval_set.of_list
-          (Array.to_list (Array.map (fun (lo, hi, _) -> Interval.make lo hi) runs))
+        Interval_set.of_sorted
+          (Array.fold_right (fun (lo, hi, _) acc -> Interval.make lo hi :: acc) runs [])
       in
       (Dataset.Sparse keep, runs)
     | _ -> raise (Binio.Corrupt "bad storage tag")

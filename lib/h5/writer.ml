@@ -121,19 +121,22 @@ let output_file path bytes =
 
 let write path datasets = output_file path (write_bytes datasets)
 
+(* Clipping and rounding out are monotone in [lo], so the sorted members
+   stay sorted and one [of_sorted] pass coalesces them. *)
 let align_keep ds keep =
   let esz = Dtype.size ds.Dataset.dtype in
   let limit = Dataset.logical_bytes ds in
-  List.fold_left
-    (fun acc iv ->
-      let lo = max 0 iv.Interval.lo and hi = min limit iv.Interval.hi in
-      if lo >= hi then acc
-      else begin
-        let lo = lo / esz * esz in
-        let hi = (hi + esz - 1) / esz * esz in
-        Interval_set.add acc (Interval.make lo (min limit hi))
-      end)
-    Interval_set.empty (Interval_set.to_list keep)
+  Interval_set.of_sorted
+    (List.filter_map
+       (fun iv ->
+         let lo = max 0 iv.Interval.lo and hi = min limit iv.Interval.hi in
+         if lo >= hi then None
+         else begin
+           let lo = lo / esz * esz in
+           let hi = (hi + esz - 1) / esz * esz in
+           Some (Interval.make lo (min limit hi))
+         end)
+       (Interval_set.to_list keep))
 
 let write_debloated path ~source ~keep =
   let pendings_and_sections =

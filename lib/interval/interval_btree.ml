@@ -138,7 +138,7 @@ let fold t ~init ~f =
   iter t (fun iv p -> acc := f !acc iv p);
   !acc
 
-let coalesced t = fold t ~init:Interval_set.empty ~f:(fun s iv _ -> Interval_set.add s iv)
+let coalesced t = Interval_set.of_sorted (List.rev (fold t ~init:[] ~f:(fun acc iv _ -> iv :: acc)))
 
 let check_invariants t =
   let d = t.degree in

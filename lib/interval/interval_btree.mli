@@ -36,7 +36,8 @@ val fold : 'a t -> init:'b -> f:('b -> Interval.t -> 'a -> 'b) -> 'b
 
 val coalesced : 'a t -> Interval_set.t
 (** Union of all stored intervals as a coalesced set — the accessed-offset
-    summary of §IV-C's example. *)
+    summary of §IV-C's example.  Linear in the number of stored
+    intervals. *)
 
 val check_invariants : 'a t -> unit
 (** Test hook: raises [Failure] when B-tree balance, key ordering, or

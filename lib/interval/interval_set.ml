@@ -13,8 +13,6 @@ let add t iv =
     before @ (merged :: after)
   end
 
-let of_list l = List.fold_left add empty l
-
 let of_sorted l =
   let rec go acc cur = function
     | [] -> List.rev (match cur with None -> acc | Some c -> c :: acc)
@@ -30,6 +28,9 @@ let of_sorted l =
       end
   in
   go [] None l
+
+let of_list l = of_sorted (List.stable_sort Interval.compare l)
+
 let to_list t = t
 
 let mem t x = List.exists (fun m -> Interval.contains_point m x) t
@@ -40,7 +41,7 @@ let total_length t = List.fold_left (fun acc m -> acc + Interval.length m) 0 t
 
 let cardinal = List.length
 
-let union a b = List.fold_left add a b
+let union a b = of_sorted (List.merge Interval.compare a b)
 
 let complement t ~within =
   let rec gaps cursor = function

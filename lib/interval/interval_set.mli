@@ -12,9 +12,11 @@ val is_empty : t -> bool
 
 val add : t -> Interval.t -> t
 (** Insert, coalescing with touching members.  Empty intervals are
-    ignored. *)
+    ignored.  O(n) in the set's size: build sets in bulk with
+    {!of_list} or {!of_sorted}, not by folding [add]. *)
 
 val of_list : Interval.t list -> t
+(** Any order; duplicates and empty intervals allowed.  O(n log n). *)
 
 val of_sorted : Interval.t list -> t
 (** Linear-time construction from a list already sorted by [lo];
@@ -35,6 +37,7 @@ val total_length : t -> int
 val cardinal : t -> int
 
 val union : t -> t -> t
+(** O(n + m): a merge of the two sorted member lists. *)
 
 val complement : t -> within:Interval.t -> t
 (** Gaps of the set inside [within]. *)

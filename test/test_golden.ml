@@ -1,8 +1,9 @@
-(* Golden outputs: for each of the 15 suite and idiom programs at a fixed
-   seed, the MD5 of the debloated KH5 file and the exact missed-valuation
-   rate (as a hex float).  Index-set kernels may get faster but must keep
-   every debloated byte and every missed rate; test/golden_debloat.expected
-   pins both. *)
+(* Golden outputs: for each of the 15 suite and idiom programs, plus MSI
+   at a scale whose debloated file holds 1,036 runs, at a fixed seed, the
+   MD5 of the debloated KH5 file and the exact missed-valuation rate (as a
+   hex float).  Index-set kernels and run-table builders may get faster
+   but must keep every debloated byte and every missed rate;
+   test/golden_debloat.expected pins both. *)
 
 open Kondo_workload
 open Kondo_core
@@ -11,7 +12,9 @@ open Kondo_core
 let expected_file =
   Filename.concat (Filename.dirname Sys.executable_name) "golden_debloat.expected"
 
-let programs () = Suite.all11 () @ Suite.extended ()
+(* 896 is the largest multiple of 64 (MSI's x-y shrink step) that still
+   keeps at least 1,000 runs: one per pixel of its 28 x 37 plane. *)
+let programs () = Suite.all11 () @ Suite.extended () @ [ Realapps.msi ~scale:896 () ]
 
 let line dir p =
   let src = Filename.concat dir (p.Program.name ^ ".full.kh5") in

@@ -258,6 +258,140 @@ let test_crc_on_debloated () =
   Alcotest.(check bool) "sparse section verifies" true (File.verify_all f);
   File.close f
 
+(* A one-dataset sparse KH5 image with a hand-written run table: 8
+   Float64 elements, [stored_len] zero bytes of data. *)
+let sparse_image ~stored_len runs =
+  let header data_off =
+    let b = Buffer.create 128 in
+    Buffer.add_string b Writer.magic;
+    Binio.u32 b 0;
+    Binio.u32 b 1;
+    Binio.str16 b "data";
+    Binio.u8 b (Dtype.code Dtype.Float64);
+    Binio.u8 b 1;
+    Binio.u32 b 8;
+    Binio.u8 b 0 (* contiguous *);
+    Binio.u8 b 1 (* sparse *);
+    Binio.u64 b data_off;
+    Binio.u64 b stored_len;
+    Binio.u32 b (List.length runs);
+    List.iter
+      (fun (lo, hi) ->
+        Binio.u64 b lo;
+        Binio.u64 b hi)
+      runs;
+    Binio.u16 b 0 (* attributes *);
+    Binio.u32 b 0 (* crc *);
+    let out = Buffer.to_bytes b in
+    Bytes.set_int32_le out 4 (Int32.of_int (Bytes.length out));
+    out
+  in
+  let hlen = Bytes.length (header 0) in
+  let img = Bytes.cat (header hlen) (Bytes.make (max 0 stored_len) '\000') in
+  File.open_port (Kondo_audit.Io_port.of_bytes ~path:"hand" img)
+
+let test_run_table_validated () =
+  let d = sparse_image ~stored_len:16 [ (0, 8); (16, 24) ] in
+  Alcotest.(check (float 0.)) "kept element" 0.0 (File.read_element d "data" [| 2 |]);
+  Alcotest.(check bool) "gap is missing" true
+    (match File.read_element d "data" [| 1 |] with
+    | _ -> false
+    | exception File.Data_missing _ -> true);
+  let rejects what msg ~stored_len runs =
+    Alcotest.check_raises what (Binio.Corrupt msg) (fun () -> ignore (sparse_image ~stored_len runs))
+  in
+  let order = "runs unsorted or touching" and sum = "run lengths do not sum to stored length" in
+  rejects "empty run" "empty run" ~stored_len:8 [ (0, 8); (16, 16) ];
+  rejects "reversed run" "empty run" ~stored_len:8 [ (8, 0) ];
+  rejects "unsorted" order ~stored_len:16 [ (16, 24); (0, 8) ];
+  rejects "overlapping" order ~stored_len:32 [ (0, 16); (8, 24) ];
+  rejects "touching" order ~stored_len:16 [ (0, 8); (8, 16) ];
+  rejects "duplicate" order ~stored_len:16 [ (0, 8); (0, 8) ];
+  rejects "sum short of stored_len" sum ~stored_len:24 [ (0, 8); (16, 24) ];
+  rejects "sum past stored_len" sum ~stored_len:8 [ (0, 8); (16, 24) ]
+
+(* The writer's run table before bulk construction: clip, round out and
+   [add] one interval at a time. *)
+let add_fold_runs ds keep =
+  let esz = Dtype.size ds.Dataset.dtype and limit = Dataset.logical_bytes ds in
+  List.fold_left
+    (fun acc iv ->
+      let lo = max 0 iv.Interval.lo and hi = min limit iv.Interval.hi in
+      if lo >= hi then acc
+      else
+        Interval_set.add acc
+          (Interval.make (lo / esz * esz) (min limit ((hi + esz - 1) / esz * esz))))
+    Interval_set.empty (Interval_set.to_list keep)
+
+let reopened_runs dst =
+  let d = File.open_file dst in
+  let runs =
+    match (File.find d "data").Dataset.storage with
+    | Dataset.Sparse keep -> Interval_set.to_list keep
+    | Dataset.Dense -> Alcotest.fail "expected sparse"
+  in
+  File.close d;
+  runs
+
+let check_runs_parity ds keep_list =
+  let src = tmp "parity_src.kh5" and dst = tmp "parity_dst.kh5" in
+  Writer.write src [ (ds, fill) ];
+  let f = File.open_file src in
+  let keep = Interval_set.of_list keep_list in
+  Writer.write_debloated dst ~source:f ~keep:(fun _ -> keep);
+  File.close f;
+  Interval_set.to_list (add_fold_runs ds keep) = reopened_runs dst
+
+let test_run_table_parity_cases () =
+  (* 8-byte elements; the contiguous section is 128 bytes, the chunked
+     one 288 (chunk padding included) *)
+  let iv = Interval.make in
+  List.iter
+    (fun ds ->
+      List.iter
+        (fun (what, keep) -> Alcotest.(check bool) what true (check_runs_parity ds keep))
+        [ ("unaligned", [ iv 3 13; iv 30 31 ]);
+          ("overlap only once rounded", [ iv 1 3; iv 5 7 ]);
+          ("touch only once rounded", [ iv 1 7; iv 9 20 ]);
+          ("partly outside", [ iv (-5) 4; iv 120 200; iv 285 400 ]);
+          ("fully outside", [ iv (-10) (-2); iv 400 500 ]);
+          ("empty", []) ])
+    [ mk_dense [| 16 |]; mk_dense ~layout:(Layout.Chunked [| 3; 3 |]) [| 4; 4 |] ]
+
+let qcheck_run_table_parity =
+  QCheck.Test.make ~name:"write_debloated run table equals the add-fold reference" ~count:100
+    QCheck.(list_of_size (Gen.int_range 0 12) (pair (int_range (-20) 150) (int_range 0 30)))
+    (fun l ->
+      check_runs_parity (mk_dense [| 16 |])
+        (List.map (fun (lo, sz) -> Interval.of_event ~offset:lo ~size:sz) l))
+
+let test_many_runs_roundtrip () =
+  (* 100,000 single-element runs: milliseconds with linear-time run
+     tables, many minutes with quadratic ones *)
+  let n = 100_000 in
+  let src = tmp "many_src.kh5" and dst = tmp "many_dst.kh5" in
+  let ds = mk_dense [| 2 * n |] in
+  Writer.write src [ (ds, fill) ];
+  let f = File.open_file src in
+  let keep = Interval_set.of_list (List.init n (fun i -> Interval.make (16 * i) ((16 * i) + 8))) in
+  Writer.write_debloated dst ~source:f ~keep:(fun _ -> keep);
+  File.close f;
+  let d = File.open_file dst in
+  let kept = File.find d "data" in
+  (match kept.Dataset.storage with
+  | Dataset.Sparse k -> Alcotest.(check int) "runs" n (Interval_set.cardinal k)
+  | Dataset.Dense -> Alcotest.fail "expected sparse");
+  Alcotest.(check int) "stored bytes" (8 * n) (Dataset.stored_bytes kept);
+  Alcotest.(check (float 0.)) "kept read" (fill [| 2 * 77_777 |])
+    (File.read_element d "data" [| 2 * 77_777 |]);
+  Alcotest.(check bool) "carved read" true
+    (match File.read_element d "data" [| (2 * 77_777) + 1 |] with
+    | _ -> false
+    | exception File.Data_missing _ -> true);
+  File.close d;
+  Sys.remove src;
+  Sys.remove dst
+
 let arb_file_case =
   let open QCheck in
   let gen =
@@ -306,4 +440,9 @@ let suite =
       Alcotest.test_case "crc verifies clean file" `Quick test_crc_verifies_clean_file;
       Alcotest.test_case "crc detects corruption" `Quick test_crc_detects_corruption;
       Alcotest.test_case "crc on debloated file" `Quick test_crc_on_debloated;
+      Alcotest.test_case "malformed run tables rejected" `Quick test_run_table_validated;
+      Alcotest.test_case "run table matches add-fold reference" `Quick
+        test_run_table_parity_cases;
+      Alcotest.test_case "100,000-run debloat round trip" `Quick test_many_runs_roundtrip;
+      QCheck_alcotest.to_alcotest qcheck_run_table_parity;
       QCheck_alcotest.to_alcotest qcheck_roundtrip_random_shapes ] )

@@ -130,6 +130,50 @@ let qcheck_union_commutes =
       let a = mk la and b = mk lb in
       Interval_set.equal (Interval_set.union a b) (Interval_set.union b a))
 
+(* Parity with the one-at-a-time construction: a coalesced set has one
+   canonical form, so the bulk builders must equal a fold of [add]. *)
+let add_fold l = List.fold_left Interval_set.add Interval_set.empty l
+
+(* Unsorted (pair (lo, len)) lists.  Multiples of 5 give many duplicates,
+   empty intervals, touching neighbours and nested intervals; each list is
+   also repeated in part to force exact duplicates. *)
+let arb_messy =
+  let open QCheck in
+  let piece =
+    Gen.(
+      oneof
+        [ pair (int_range 0 100) (int_range 0 20);
+          pair (map (( * ) 5) (int_range 0 20)) (map (( * ) 5) (int_range 0 4)) ])
+  in
+  let gen =
+    Gen.(
+      list_size (int_range 0 40) piece >>= fun l ->
+      int_range 0 (List.length l) >|= fun k ->
+      List.map (fun (lo, sz) -> Interval.of_event ~offset:lo ~size:sz)
+        (l @ List.filteri (fun i _ -> i < k) l))
+  in
+  make ~print:(fun l -> String.concat " " (List.map Interval.to_string l)) gen
+
+let qcheck_of_list_parity =
+  QCheck.Test.make ~name:"of_list equals a fold of add" ~count:500 arb_messy (fun l ->
+      Interval_set.equal (Interval_set.of_list l) (add_fold l))
+
+let qcheck_union_parity =
+  QCheck.Test.make ~name:"union equals folding add over both sets" ~count:500
+    (QCheck.pair arb_messy arb_messy)
+    (fun (la, lb) ->
+      let a = add_fold la and b = add_fold lb in
+      Interval_set.equal (Interval_set.union a b)
+        (List.fold_left Interval_set.add a (Interval_set.to_list b)))
+
+let qcheck_coalesced_parity =
+  QCheck.Test.make ~name:"btree coalesced equals a fold of add" ~count:300
+    (QCheck.pair (QCheck.int_range 2 4) arb_messy)
+    (fun (degree, l) ->
+      let t = Interval_btree.create ~min_degree:degree () in
+      List.iteri (fun i ivl -> Interval_btree.insert t ivl i) l;
+      Interval_set.equal (Interval_btree.coalesced t) (add_fold l))
+
 (* ---------------- Interval_btree ---------------- *)
 
 let test_btree_empty () =
@@ -232,6 +276,9 @@ let suite =
       QCheck_alcotest.to_alcotest qcheck_set_invariant;
       QCheck_alcotest.to_alcotest qcheck_set_total_length;
       QCheck_alcotest.to_alcotest qcheck_union_commutes;
+      QCheck_alcotest.to_alcotest qcheck_of_list_parity;
+      QCheck_alcotest.to_alcotest qcheck_union_parity;
+      QCheck_alcotest.to_alcotest qcheck_coalesced_parity;
       Alcotest.test_case "btree: empty" `Quick test_btree_empty;
       Alcotest.test_case "btree: insert and query" `Quick test_btree_insert_query;
       Alcotest.test_case "btree: stab" `Quick test_btree_stab;

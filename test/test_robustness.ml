@@ -36,13 +36,31 @@ let mutate rng buf =
   let len = if Rng.bernoulli rng 0.3 then 1 + Rng.int rng (Bytes.length b) else Bytes.length b in
   Bytes.sub b 0 len
 
+(* A debloated copy of [valid_kh5] keeping three separate ranges, so its
+   header carries a sparse run table. *)
+let valid_sparse_kh5 =
+  let src = Filename.temp_file "kondo_fuzz" ".kh5" and dst = Filename.temp_file "kondo_fuzz" ".kh5" in
+  let oc = open_out_bin src in
+  output_bytes oc valid_kh5;
+  close_out oc;
+  let f = File.open_file src in
+  let keep =
+    Kondo_interval.(Interval_set.of_list [ Interval.make 0 24; Interval.make 64 72; Interval.make 200 288 ])
+  in
+  Writer.write_debloated dst ~source:f ~keep:(fun _ -> keep);
+  File.close f;
+  let b = In_channel.with_open_bin dst In_channel.input_all in
+  Sys.remove src;
+  Sys.remove dst;
+  Bytes.of_string b
+
 (* Opening a corrupted KH5 either works (mutation hit the data section)
    or fails with a documented exception; reads on a successfully opened
    file behave the same way. *)
-let test_kh5_corruption_fuzz () =
+let kh5_corruption_fuzz valid () =
   let rng = Rng.create 99 in
   for _ = 1 to 500 do
-    let mutated = mutate rng valid_kh5 in
+    let mutated = mutate rng valid in
     match File.open_port (Kondo_audit.Io_port.of_bytes ~path:"fuzz" mutated) with
     | exception (Binio.Corrupt _ | Invalid_argument _) -> ()
     | f -> (
@@ -154,7 +172,9 @@ let test_spec_parser_never_crashes () =
 
 let suite =
   ( "robustness",
-    [ Alcotest.test_case "KH5 corruption fuzz (500 mutants)" `Quick test_kh5_corruption_fuzz;
+    [ Alcotest.test_case "KH5 corruption fuzz (500 mutants)" `Quick (kh5_corruption_fuzz valid_kh5);
+      Alcotest.test_case "sparse KH5 corruption fuzz (500 mutants)" `Quick
+        (kh5_corruption_fuzz valid_sparse_kh5);
       Alcotest.test_case "NetCDF corruption fuzz (500 mutants)" `Quick
         test_netcdf_corruption_fuzz;
       Alcotest.test_case "event log corruption fuzz" `Quick test_event_log_corruption_fuzz;
