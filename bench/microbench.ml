@@ -184,6 +184,45 @@ let test_kh5_open_sparse =
          Kondo_h5.File.open_port
            (Kondo_audit.Io_port.of_bytes ~path:"mem" (Lazy.force sparse_kh5_bytes))))
 
+(* The store read path's two hits: an element-sized read served from a
+   warm client cache over loopback, and element reads that hit the kept
+   runs of a debloated file on disk. *)
+let warm_client =
+  lazy
+    (let open Kondo_store in
+     let server = Server.create ~store:(Block_store.create ()) () in
+     let m =
+       Server.add_blob server ~name:"blob" (Bytes.init (64 * 4096) (fun i -> Char.chr (i land 0xFF)))
+     in
+     let client =
+       Client.connect
+         ~cache:(Cache.create ~budget_bytes:(1024 * 1024) ())
+         (Transport.loopback ~handle:(Server.handle server))
+     in
+     ignore (Client.read_bytes client m ~offset:0 ~length:m.Chunk.total_len);
+     (client, m))
+
+let test_client_read_cached =
+  Test.make ~name:"client-read-8b-cached"
+    (Staged.stage (fun () ->
+         let client, m = Lazy.force warm_client in
+         Kondo_store.Client.read_bytes client m ~offset:123_456 ~length:8))
+
+(* The file is unlinked once open; the open port keeps it readable. *)
+let sparse_kh5_on_disk =
+  lazy
+    (let path = Filename.temp_file "kondo_micro" ".kh5" in
+     Out_channel.with_open_bin path (fun oc -> output_bytes oc (Lazy.force sparse_kh5_bytes));
+     let f = Kondo_h5.File.open_file path in
+     Sys.remove path;
+     f)
+
+let test_kh5_read_element_sparse =
+  Test.make ~name:"kh5-read-element-sparse"
+    (Staged.stage (fun () ->
+         (* element 2i is kept, at the start of the i-th run *)
+         Kondo_h5.File.read_element (Lazy.force sparse_kh5_on_disk) "data" [| 50_000 |]))
+
 let tests =
   Test.make_grouped ~name:"kondo"
     [ test_hull2d;
@@ -203,11 +242,14 @@ let tests =
       test_rasterize_points;
       test_set_of_list;
       test_set_union;
-      test_kh5_open_sparse ]
+      test_kh5_open_sparse;
+      test_client_read_cached;
+      test_kh5_read_element_sparse ]
 
 let run () =
   Exp_common.header "Microbench" "Bechamel micro-benchmarks of the substrates (ns/run, OLS fit)";
-  ignore (Lazy.force sparse_kh5_bytes);
+  ignore (Lazy.force warm_client);
+  ignore (Lazy.force sparse_kh5_on_disk);
   let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.25) ~kde:None () in
   let raw = Benchmark.all cfg [ Instance.monotonic_clock ] tests in
   let ols =

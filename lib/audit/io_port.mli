@@ -19,7 +19,10 @@ val of_bytes : path:string -> bytes -> t
 (** In-memory port (no OS I/O). *)
 
 val of_file : string -> t
-(** Open a real file for positional reads. *)
+(** Open a real file for positional reads.  The file is assumed not to
+    change while open: [size] is its length at open, and [pread]
+    bounds-checks against that length.  Reading past the end of a file
+    cut short since then raises [Invalid_argument] too. *)
 
 val with_file : string -> (t -> 'a) -> 'a
 (** Open, apply, close (also on exception). *)

@@ -2,7 +2,7 @@ open Kondo_faults
 
 type shard = {
   lock : Mutex.t;
-  tbl : (Chunk.id, bytes) Hashtbl.t;
+  tbl : (Chunk.id, string) Hashtbl.t;
   mutable bytes : int;
 }
 
@@ -23,16 +23,15 @@ let shard_of t id =
   t.shards.(h mod Array.length t.shards)
 
 let frame_payload id chunk =
-  let b = Bytes.create (8 + Bytes.length chunk) in
+  let b = Bytes.create (8 + String.length chunk) in
   Bytes.set_int64_le b 0 id;
-  Bytes.blit chunk 0 b 8 (Bytes.length chunk);
+  Bytes.blit_string chunk 0 b 8 (String.length chunk);
   Bytes.unsafe_to_string b
 
 let parse_frame payload =
   if String.length payload < 8 then None
   else
-    let b = Bytes.unsafe_of_string payload in
-    Some (Bytes.get_int64_le b 0, Bytes.sub b 8 (Bytes.length b - 8))
+    Some (String.get_int64_le payload 0, String.sub payload 8 (String.length payload - 8))
 
 (* Walk the backing file: valid frames plus the offset where validity
    ends (= where appending resumes after truncating the torn tail). *)
@@ -79,7 +78,7 @@ let create ?(shards = 8) ?path () =
               let s = shard_of t id in
               if not (Hashtbl.mem s.tbl id) then begin
                 Hashtbl.add s.tbl id chunk;
-                s.bytes <- s.bytes + Bytes.length chunk;
+                s.bytes <- s.bytes + String.length chunk;
                 t.salvaged <- t.salvaged + 1
               end)
           frames;
@@ -100,8 +99,8 @@ let put t id chunk =
     locked s.lock (fun () ->
         if Hashtbl.mem s.tbl id then false
         else begin
-          Hashtbl.add s.tbl id (Bytes.copy chunk);
-          s.bytes <- s.bytes + Bytes.length chunk;
+          Hashtbl.add s.tbl id chunk;
+          s.bytes <- s.bytes + String.length chunk;
           true
         end)
   in
@@ -114,8 +113,7 @@ let put t id chunk =
 
 let get t id =
   let s = shard_of t id in
-  locked s.lock (fun () ->
-      match Hashtbl.find_opt s.tbl id with Some b -> Some (Bytes.copy b) | None -> None)
+  locked s.lock (fun () -> Hashtbl.find_opt s.tbl id)
 
 let mem t id =
   let s = shard_of t id in
@@ -128,7 +126,7 @@ let remove t id =
       | None -> 0
       | Some b ->
         Hashtbl.remove s.tbl id;
-        let n = Bytes.length b in
+        let n = String.length b in
         s.bytes <- s.bytes - n;
         n)
 
@@ -174,8 +172,8 @@ let close t =
   end
 
 let registry_backend t =
-  { Kondo_container.Registry.b_put = (fun id chunk -> put t id chunk);
-    b_get = (fun id -> get t id);
+  { Kondo_container.Registry.b_put = (fun id chunk -> put t id (Bytes.to_string chunk));
+    b_get = (fun id -> Option.map Bytes.of_string (get t id));
     b_remove = (fun id -> remove t id);
     b_hashes = (fun () -> hashes t);
     b_count = (fun () -> count t);

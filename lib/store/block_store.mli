@@ -6,7 +6,10 @@
     {!Kondo_faults.Frame} records — [u64 id][payload] per frame — so a
     crash at any byte leaves a valid prefix: {!create} salvages every
     complete frame, truncates the torn tail, and resumes appending.
-    Every {!put} of a new chunk is flushed before returning. *)
+    Every {!put} of a new chunk is flushed before returning.
+
+    Chunks are held as immutable [string]s: {!put} keeps the caller's
+    value and {!get} returns the stored one, with no copy. *)
 
 type t
 
@@ -15,11 +18,11 @@ val create : ?shards:int -> ?path:string -> unit -> t
     With [path], chunks persist to that backing file; an existing file is
     loaded, salvaging the longest valid frame prefix. *)
 
-val put : t -> Chunk.id -> bytes -> bool
+val put : t -> Chunk.id -> string -> bool
 (** Store a chunk under its id; [true] when it was new ([false] when the
     id deduplicated — content-addressing makes overwrites meaningless). *)
 
-val get : t -> Chunk.id -> bytes option
+val get : t -> Chunk.id -> string option
 val mem : t -> Chunk.id -> bool
 
 val remove : t -> Chunk.id -> int

@@ -15,13 +15,13 @@ type stats = {
 (* Intrusive doubly-linked LRU node; [prev] points toward the MRU end. *)
 type node = {
   key : Chunk.id;
-  data : bytes;
+  data : string;
   mutable prev : node option;
   mutable next : node option;
 }
 
 type flight = {
-  mutable outcome : (bytes, Fault.error) result option;
+  mutable outcome : (string, Fault.error) result option;
 }
 
 type shard = {
@@ -110,7 +110,7 @@ let push_front s n =
 let drop_entry s n =
   unlink s n;
   Hashtbl.remove s.tbl n.key;
-  s.bytes <- s.bytes - Bytes.length n.data
+  s.bytes <- s.bytes - String.length n.data
 
 let evict_to_budget s =
   while s.bytes > s.budget do
@@ -124,7 +124,7 @@ let evict_to_budget s =
 
 let insert s id data =
   (match Hashtbl.find_opt s.tbl id with Some old -> drop_entry s old | None -> ());
-  if Bytes.length data > s.budget then begin
+  if String.length data > s.budget then begin
     s.rejections <- s.rejections + 1;
     Cache_obs.inc Cache_obs.rejections
   end
@@ -132,7 +132,7 @@ let insert s id data =
     let n = { key = id; data; prev = None; next = None } in
     push_front s n;
     Hashtbl.add s.tbl id n;
-    s.bytes <- s.bytes + Bytes.length data;
+    s.bytes <- s.bytes + String.length data;
     s.insertions <- s.insertions + 1;
     Cache_obs.inc Cache_obs.insertions;
     evict_to_budget s
@@ -145,7 +145,7 @@ let lookup s id =
     push_front s n;
     s.hits <- s.hits + 1;
     Cache_obs.inc Cache_obs.hits;
-    Some (Bytes.copy n.data)
+    Some n.data
   | None ->
     s.misses <- s.misses + 1;
     Cache_obs.inc Cache_obs.misses;
@@ -161,7 +161,7 @@ let get t id =
 
 let put t id data =
   let s = shard_of t id in
-  locked s.lock (fun () -> insert s id (Bytes.copy data))
+  locked s.lock (fun () -> insert s id data)
 
 let get_or_fetch t id ~fetch =
   let s = shard_of t id in
@@ -185,7 +185,7 @@ let get_or_fetch t id ~fetch =
       in
       let r = wait () in
       Mutex.unlock s.lock;
-      (match r with Ok b -> Ok (Bytes.copy b) | Error _ as e -> e)
+      r
     | None ->
       (* leader: run the upstream fetch outside the shard lock *)
       let fl = { outcome = None } in
@@ -199,7 +199,7 @@ let get_or_fetch t id ~fetch =
         | exception exn -> Error (Fault.of_exn exn)
       in
       Mutex.lock s.lock;
-      (match r with Ok b -> insert s id (Bytes.copy b) | Error _ -> ());
+      (match r with Ok b -> insert s id b | Error _ -> ());
       fl.outcome <- Some r;
       Hashtbl.remove s.inflight id;
       Condition.broadcast s.cond;

@@ -11,7 +11,11 @@
     block on a condition variable and receive the same outcome — one
     upstream fetch, identical bytes, the thundering herd collapsed.
     Fetch errors are handed to every coalesced waiter but never
-    cached. *)
+    cached.
+
+    Payloads are immutable [string]s: a hit hands back the cached value
+    itself and an insertion keeps the caller's value, with no copy on
+    either side. *)
 
 type stats = {
   hits : int;
@@ -34,12 +38,12 @@ val create : ?shards:int -> budget_bytes:int -> unit -> t
 val budget : t -> int
 val shard_count : t -> int
 
-val get : t -> Chunk.id -> bytes option
-val put : t -> Chunk.id -> bytes -> unit
+val get : t -> Chunk.id -> string option
+val put : t -> Chunk.id -> string -> unit
 
 val get_or_fetch :
-  t -> Chunk.id -> fetch:(unit -> (bytes, Kondo_faults.Fault.error) result) ->
-  (bytes, Kondo_faults.Fault.error) result
+  t -> Chunk.id -> fetch:(unit -> (string, Kondo_faults.Fault.error) result) ->
+  (string, Kondo_faults.Fault.error) result
 (** Cache hit, or run (or wait on) the single upstream fetch for this
     key.  A successful fetch is inserted before waiters wake. *)
 

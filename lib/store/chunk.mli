@@ -28,9 +28,9 @@ type manifest = {
 }
 
 val split : ?chunk_size:int -> bytes -> (int * bytes) list
-(** [(index, payload)] tiles of the blob; every tile is [chunk_size]
-    bytes except possibly the last.  @raise Invalid_argument when
-    [chunk_size < 1]. *)
+(** [(index, payload)] tiles of the blob, each a fresh copy; every tile
+    is [chunk_size] bytes except possibly the last.
+    @raise Invalid_argument when [chunk_size < 1]. *)
 
 val manifest_of_bytes : ?chunk_size:int -> name:string -> bytes -> manifest
 

@@ -179,15 +179,16 @@ let put t payload =
 
 (* Verify one fetched chunk against the manifest; a mismatch is the
    client-side CRC story of the store path: count it corrupt and hand
-   the retry machinery a retryable error — never a silent success. *)
+   the retry machinery a retryable error — never a silent success.
+   The payload is checked in place and returned as is. *)
 let verified t m i payload =
-  let b = Bytes.of_string payload in
-  if Chunk.verify m i b then begin
+  if Chunk.verify m i (Bytes.unsafe_of_string payload) then begin
+    let n = String.length payload in
     t.stats.fetched_chunks <- t.stats.fetched_chunks + 1;
-    t.stats.fetched_bytes <- t.stats.fetched_bytes + Bytes.length b;
+    t.stats.fetched_bytes <- t.stats.fetched_bytes + n;
     Cl_obs.inc Cl_obs.fetched_chunks;
-    Cl_obs.inc ~by:(Bytes.length b) Cl_obs.fetched_bytes;
-    Ok b
+    Cl_obs.inc ~by:n Cl_obs.fetched_bytes;
+    Ok payload
   end
   else begin
     t.stats.corrupt_fetches <- t.stats.corrupt_fetches + 1;
@@ -288,7 +289,7 @@ let read_bytes t m ~offset ~length =
         in
         let coff, clen = Chunk.chunk_span m (c0 + i) in
         let lo = max offset coff and hi = min (offset + length) (coff + clen) in
-        if hi > lo then Bytes.blit chunk (lo - coff) out (lo - offset) (hi - lo)
+        if hi > lo then Bytes.blit_string chunk (lo - coff) out (lo - offset) (hi - lo)
       done;
       Ok out
   end

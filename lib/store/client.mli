@@ -51,9 +51,10 @@ val put : t -> bytes -> (Chunk.id * bool, Kondo_faults.Fault.error) result
 
 val fetch_chunks :
   t -> Chunk.manifest -> first:int -> count:int ->
-  (bytes array, Kondo_faults.Fault.error) result
+  (string array, Kondo_faults.Fault.error) result
 (** Chunks [first .. first+count-1] in one BATCH round trip, each
-    verified against the manifest.  Any missing chunk is a permanent
+    verified against the manifest (in place: the decoded payloads are
+    returned, and cached, without a copy).  Any missing chunk is a permanent
     error; any corrupt chunk is a retryable one. *)
 
 val read_bytes :
@@ -61,4 +62,6 @@ val read_bytes :
   (bytes, Kondo_faults.Fault.error) result
 (** The blob's bytes [\[offset, offset+length)], assembled from cached
     chunks plus one range GET per contiguous run of missing chunks.
+    The result is a fresh buffer holding only the requested slice of
+    each chunk; the caller may mutate it.
     @raise Invalid_argument when the range exceeds the blob. *)

@@ -83,7 +83,7 @@ let finish c v = if c.pos <> Bytes.length c.buf then raise (Bad "trailing bytes"
 
 let decoding s f =
   let c = { buf = Bytes.unsafe_of_string s; pos = 0 } in
-  match f c with v -> Ok (finish c v) | exception Bad msg -> Error msg
+  match finish c (f c) with v -> Ok v | exception Bad msg -> Error msg
 
 let encode_request req =
   let b = Buffer.create 32 in

@@ -47,8 +47,11 @@ let locked t f =
 
 let add_blob t ?chunk_size ~name content =
   let m = Chunk.manifest_of_bytes ?chunk_size ~name content in
+  (* [split]'s tiles are fresh copies, owned here: the store may keep
+     them as strings *)
   List.iter
-    (fun (_, payload) -> ignore (Block_store.put t.store (Chunk.digest payload) payload))
+    (fun (_, payload) ->
+      ignore (Block_store.put t.store (Chunk.digest payload) (Bytes.unsafe_to_string payload)))
     (Chunk.split ?chunk_size content);
   locked t (fun () -> Hashtbl.replace t.manifests name m);
   m
@@ -107,13 +110,12 @@ let apply t req =
   match req with
   | Proto.Get id -> (
     match lookup_chunk t id with
-    | Ok b -> Proto.Blob (Bytes.unsafe_to_string b)
+    | Ok b -> Proto.Blob b
     | Error _ -> Proto.Not_found id)
   | Proto.Put (id, payload) ->
-    let b = Bytes.of_string payload in
-    if not (Int64.equal (Chunk.digest b) id) then
+    if not (Int64.equal (Chunk.digest (Bytes.unsafe_of_string payload)) id) then
       Proto.Err "put: payload digest does not match id"
-    else Proto.Stored (Block_store.put t.store id b)
+    else Proto.Stored (Block_store.put t.store id payload)
   | Proto.Stat ->
     let cs = Cache.stats t.cache in
     Proto.Stats
@@ -132,7 +134,7 @@ let apply t req =
       (Lazy.force Srv_obs.batch_size)
       (float_of_int (List.length ids));
     let lookup id =
-      (id, match lookup_chunk t id with Ok b -> Some (Bytes.unsafe_to_string b) | Error _ -> None)
+      (id, match lookup_chunk t id with Ok b -> Some b | Error _ -> None)
     in
     let entries =
       if t.jobs = 1 || List.length ids < 2 then List.map lookup ids
@@ -166,19 +168,23 @@ let handle t body =
     (Float.max 0.0 (Kondo_obs.Clock.now Kondo_obs.Clock.real -. t0));
   encoded
 
+(* A peer that hangs up before reading its reply makes the write fail
+   with EPIPE (SIGPIPE is ignored while serving) or ECONNRESET, raised
+   by the channel as [Sys_error]: that drops its connection, never the
+   server.  Closing [oc] closes [fd] and discards whatever the failed
+   write left buffered. *)
 let handle_conn t fd =
   let ic = Unix.in_channel_of_descr fd in
   let oc = Unix.out_channel_of_descr fd in
   let rec loop () =
     match Proto.read_message ic with
     | Error _ -> () (* peer closed or sent garbage framing: drop the connection *)
-    | Ok body ->
-      Proto.write_message oc (handle t body);
-      loop ()
+    | Ok body -> (
+      match Proto.write_message oc (handle t body) with
+      | () -> loop ()
+      | exception Sys_error _ -> ())
   in
-  Fun.protect
-    ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-    loop
+  Fun.protect ~finally:(fun () -> close_out_noerr oc) loop
 
 let serve_unix t ~socket ?(on_ready = fun () -> ()) ~stop () =
   (try Unix.unlink socket with Unix.Unix_error _ | Sys_error _ -> ());
@@ -188,6 +194,7 @@ let serve_unix t ~socket ?(on_ready = fun () -> ()) ~stop () =
       (try Unix.close listener with Unix.Unix_error _ -> ());
       try Unix.unlink socket with Unix.Unix_error _ | Sys_error _ -> ())
     (fun () ->
+      Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
       Unix.bind listener (Unix.ADDR_UNIX socket);
       Unix.listen listener 16;
       on_ready ();

@@ -50,4 +50,6 @@ val serve_unix : t -> socket:string -> ?on_ready:(unit -> unit) -> stop:(unit ->
     connections until [stop ()] holds, answering each connection's
     requests in arrival order until its peer disconnects.  [stop] is
     consulted between connections — wake a blocked accept by connecting
-    once after flipping the flag. *)
+    once after flipping the flag.  SIGPIPE is ignored process-wide from
+    then on, so a peer that hangs up before reading its reply drops only
+    its own connection. *)

@@ -91,6 +91,40 @@ let test_io_port_of_bytes_bounds () =
   Alcotest.check_raises "oob" (Invalid_argument "Io_port.pread: out of range") (fun () ->
       ignore (port.Io_port.pread 4 8))
 
+let with_temp_file content f =
+  let path = Filename.temp_file "kondo_port" ".bin" in
+  Out_channel.with_open_bin path (fun oc -> output_string oc content);
+  Fun.protect ~finally:(fun () -> Sys.remove path) (fun () -> f path)
+
+let oob = Invalid_argument "Io_port.pread: out of range"
+
+let test_io_port_of_file_bounds () =
+  with_temp_file (String.init 64 (fun i -> Char.chr (i + 32))) (fun path ->
+      Io_port.with_file path (fun port ->
+          Alcotest.(check string) "in-range read" " !\"#" (Bytes.to_string (port.Io_port.pread 0 4));
+          Alcotest.(check string) "read ending at the end" "_" (Bytes.to_string (port.Io_port.pread 63 1));
+          Alcotest.check_raises "past the end" oob (fun () -> ignore (port.Io_port.pread 60 8));
+          Alcotest.check_raises "starting at the end" oob (fun () -> ignore (port.Io_port.pread 64 1));
+          Alcotest.check_raises "negative offset" oob (fun () -> ignore (port.Io_port.pread (-1) 2));
+          Alcotest.check_raises "negative length" oob (fun () -> ignore (port.Io_port.pread 0 (-1)))))
+
+(* The length is read at open: a file that grows stays its old size, and
+   one cut short raises Invalid_argument (not End_of_file) on a read
+   past its new end. *)
+let test_io_port_of_file_size_fixed_at_open () =
+  with_temp_file (String.make 100 'k') (fun path ->
+      let port = Io_port.of_file path in
+      Fun.protect ~finally:port.Io_port.close (fun () ->
+          Alcotest.(check int) "size at open" 100 (port.Io_port.size ());
+          Out_channel.with_open_gen [ Open_append; Open_binary ] 0o644 path (fun oc ->
+              output_string oc (String.make 50 'x'));
+          Alcotest.(check int) "size after the file grew" 100 (port.Io_port.size ());
+          Alcotest.check_raises "appended bytes out of range" oob (fun () ->
+              ignore (port.Io_port.pread 100 10));
+          Unix.truncate path 10;
+          Alcotest.(check int) "size after the file shrank" 100 (port.Io_port.size ());
+          Alcotest.check_raises "read past the cut" oob (fun () -> ignore (port.Io_port.pread 50 10))))
+
 let qcheck_tracer_offsets_match_model =
   QCheck.Test.make ~name:"tracer offsets equal the union of event ranges" ~count:200
     QCheck.(list_of_size (Gen.int_range 0 30) (pair (int_range 0 500) (int_range 1 50)))
@@ -116,4 +150,7 @@ let suite =
       Alcotest.test_case "paths and pids" `Quick test_paths_and_pids;
       Alcotest.test_case "reset" `Quick test_reset;
       Alcotest.test_case "io port bounds" `Quick test_io_port_of_bytes_bounds;
+      Alcotest.test_case "file port bounds" `Quick test_io_port_of_file_bounds;
+      Alcotest.test_case "file port size fixed at open" `Quick
+        test_io_port_of_file_size_fixed_at_open;
       QCheck_alcotest.to_alcotest qcheck_tracer_offsets_match_model ] )

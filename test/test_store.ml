@@ -11,6 +11,9 @@ open Kondo_workload
 let bytes_of_seed seed len =
   Bytes.init len (fun i -> Char.chr ((seed * 131 + i * 31 + (i * i mod 97)) land 0xFF))
 
+let string_of_seed seed len = Bytes.to_string (bytes_of_seed seed len)
+let digest_string s = Chunk.digest (Bytes.of_string s)
+
 let contains haystack needle =
   let nl = String.length needle and hl = String.length haystack in
   let rec at i = i + nl <= hl && (String.sub haystack i nl = needle || at (i + 1)) in
@@ -108,12 +111,39 @@ let test_proto_response_roundtrip () =
       | Error e -> Alcotest.fail ("decode failed: " ^ e))
     resps
 
+(* A valid body with bytes appended decodes to an Error, never an
+   exception, for requests, responses and manifests alike. *)
+let test_proto_trailing_bytes () =
+  let m = Chunk.manifest_of_bytes ~chunk_size:16 ~name:"r" (bytes_of_seed 1 50) in
+  let reqs =
+    [ Proto.Get 42L; Proto.Put (7L, "payload"); Proto.Stat; Proto.Batch [ 1L; 2L ];
+      Proto.Manifest_req "file#ds"; Proto.Scrape ]
+  in
+  let resps =
+    [ Proto.Blob "chunk"; Proto.Not_found 9L; Proto.Stored true;
+      Proto.Blobs [ (1L, Some "a"); (2L, None) ]; Proto.Manifest_resp m;
+      Proto.Metrics "m 1"; Proto.Err "boom" ]
+  in
+  let rejects what = function
+    | Ok _ -> Alcotest.failf "%s with trailing bytes accepted" what
+    | Error _ -> ()
+  in
+  List.iter
+    (fun tail ->
+      List.iter (fun r -> rejects "request" (Proto.decode_request (Proto.encode_request r ^ tail))) reqs;
+      List.iter
+        (fun r -> rejects "response" (Proto.decode_response (Proto.encode_response r ^ tail)))
+        resps;
+      rejects "manifest" (Chunk.decode (Chunk.encode m ^ tail)))
+    [ "\000"; "x"; "trailing bytes" ];
+  rejects "bare STAT with a trailing byte" (Proto.decode_request "S\000")
+
 (* ---- Block_store ---- *)
 
 let test_block_store_basics () =
   let bs = Block_store.create () in
-  let c1 = bytes_of_seed 1 40 and c2 = bytes_of_seed 2 60 in
-  let id1 = Chunk.digest c1 and id2 = Chunk.digest c2 in
+  let c1 = string_of_seed 1 40 and c2 = string_of_seed 2 60 in
+  let id1 = digest_string c1 and id2 = digest_string c2 in
   Alcotest.(check bool) "first put is new" true (Block_store.put bs id1 c1);
   Alcotest.(check bool) "second put dedups" false (Block_store.put bs id1 c1);
   Alcotest.(check bool) "other chunk is new" true (Block_store.put bs id2 c2);
@@ -130,8 +160,8 @@ let test_block_store_basics () =
 let test_block_store_persistence () =
   let path = Filename.temp_file "kondo_bs" ".dat" in
   let bs = Block_store.create ~path () in
-  let chunks = List.init 5 (fun i -> bytes_of_seed (i + 10) (20 + (7 * i))) in
-  List.iter (fun c -> ignore (Block_store.put bs (Chunk.digest c) c)) chunks;
+  let chunks = List.init 5 (fun i -> string_of_seed (i + 10) (20 + (7 * i))) in
+  List.iter (fun c -> ignore (Block_store.put bs (digest_string c) c)) chunks;
   Block_store.close bs;
   let bs2 = Block_store.create ~path () in
   let salvaged, intact = Block_store.load_report bs2 in
@@ -140,7 +170,7 @@ let test_block_store_persistence () =
   List.iter
     (fun c ->
       Alcotest.(check bool) "content survives restart" true
-        (Block_store.get bs2 (Chunk.digest c) = Some c))
+        (Block_store.get bs2 (digest_string c) = Some c))
     chunks;
   Block_store.close bs2;
   Sys.remove path
@@ -151,8 +181,8 @@ let test_block_store_persistence () =
 let test_block_store_salvage_every_truncation () =
   let path = Filename.temp_file "kondo_bs" ".dat" in
   let bs = Block_store.create ~path () in
-  let chunks = [ bytes_of_seed 1 5; bytes_of_seed 2 7; bytes_of_seed 3 9 ] in
-  List.iter (fun c -> ignore (Block_store.put bs (Chunk.digest c) c)) chunks;
+  let chunks = [ string_of_seed 1 5; string_of_seed 2 7; string_of_seed 3 9 ] in
+  List.iter (fun c -> ignore (Block_store.put bs (digest_string c) c)) chunks;
   Block_store.close bs;
   let ic = open_in_bin path in
   let full = Bytes.create (in_channel_length ic) in
@@ -165,7 +195,7 @@ let test_block_store_salvage_every_truncation () =
       (snd
          (List.fold_left
             (fun (off, acc) c ->
-              let off = off + Frame.header_len + 8 + Bytes.length c in
+              let off = off + Frame.header_len + 8 + String.length c in
               (off, off :: acc))
             (0, []) chunks))
   in
@@ -193,11 +223,11 @@ let test_block_store_salvage_every_truncation () =
           Alcotest.(check bool)
             (Printf.sprintf "chunk %d verifies after cut %d" i cut)
             true
-            (Block_store.get bs (Chunk.digest c) = Some c))
+            (Block_store.get bs (digest_string c) = Some c))
       chunks;
     (* the store must accept appends after truncating the torn tail *)
-    let extra = bytes_of_seed (100 + cut) 11 in
-    ignore (Block_store.put bs (Chunk.digest extra) extra);
+    let extra = string_of_seed (100 + cut) 11 in
+    ignore (Block_store.put bs (digest_string extra) extra);
     Block_store.close bs;
     let bs2 = Block_store.create ~path:torn () in
     let salvaged2, intact2 = Block_store.load_report bs2 in
@@ -213,20 +243,20 @@ let test_block_store_salvage_every_truncation () =
 let test_block_store_compact () =
   let path = Filename.temp_file "kondo_bs" ".dat" in
   let bs = Block_store.create ~path () in
-  let keep = bytes_of_seed 1 50 and drop = bytes_of_seed 2 70 in
-  ignore (Block_store.put bs (Chunk.digest keep) keep);
-  ignore (Block_store.put bs (Chunk.digest drop) drop);
-  ignore (Block_store.remove bs (Chunk.digest drop));
+  let keep = string_of_seed 1 50 and drop = string_of_seed 2 70 in
+  ignore (Block_store.put bs (digest_string keep) keep);
+  ignore (Block_store.put bs (digest_string drop) drop);
+  ignore (Block_store.remove bs (digest_string drop));
   let size_before = (Unix.stat path).Unix.st_size in
   Block_store.compact bs;
   let size_after = (Unix.stat path).Unix.st_size in
   Alcotest.(check bool) "compaction shrinks the file" true (size_after < size_before);
   Alcotest.(check bool) "live chunk survives compaction" true
-    (Block_store.get bs (Chunk.digest keep) = Some keep);
+    (Block_store.get bs (digest_string keep) = Some keep);
   Block_store.close bs;
   let bs2 = Block_store.create ~path () in
   Alcotest.(check bool) "compacted file reloads" true
-    (Block_store.get bs2 (Chunk.digest keep) = Some keep);
+    (Block_store.get bs2 (digest_string keep) = Some keep);
   Block_store.close bs2;
   Sys.remove path
 
@@ -237,7 +267,7 @@ let qcheck_cache_budget =
     QCheck.(triple (int_range 0 2000) (int_range 1 16) (list_of_size Gen.(0 -- 60) (int_range 0 200)))
     (fun (budget, shards, sizes) ->
       let cache = Cache.create ~shards ~budget_bytes:budget () in
-      List.iteri (fun i len -> Cache.put cache (Int64.of_int i) (bytes_of_seed i len)) sizes;
+      List.iteri (fun i len -> Cache.put cache (Int64.of_int i) (string_of_seed i len)) sizes;
       let s = Cache.stats cache in
       s.Cache.current_bytes <= budget && Cache.budget cache = budget)
 
@@ -247,7 +277,7 @@ let qcheck_cache_bookkeeping =
     (fun (budget, sizes) ->
       let cache = Cache.create ~shards:4 ~budget_bytes:budget () in
       (* unique keys: every put is either an insertion or a rejection *)
-      List.iteri (fun i len -> Cache.put cache (Int64.of_int i) (bytes_of_seed i len)) sizes;
+      List.iteri (fun i len -> Cache.put cache (Int64.of_int i) (string_of_seed i len)) sizes;
       List.iteri (fun i _ -> ignore (Cache.get cache (Int64.of_int i))) sizes;
       let s = Cache.stats cache in
       s.Cache.insertions + s.Cache.rejections = List.length sizes
@@ -258,13 +288,13 @@ let qcheck_cache_bookkeeping =
 
 let test_cache_coalesces_concurrent_gets () =
   let cache = Cache.create ~shards:2 ~budget_bytes:(1024 * 1024) () in
-  let payload = bytes_of_seed 7 100 in
-  let id = Chunk.digest payload in
+  let payload = string_of_seed 7 100 in
+  let id = digest_string payload in
   let upstream_calls = Atomic.make 0 in
   let fetch () =
     Atomic.incr upstream_calls;
     Unix.sleepf 0.03;
-    Ok (Bytes.copy payload)
+    Ok payload
   in
   let domains =
     Array.init 4 (fun _ -> Domain.spawn (fun () -> Cache.get_or_fetch cache id ~fetch))
@@ -288,8 +318,8 @@ let test_cache_never_caches_errors () =
   | Ok _ -> Alcotest.fail "error fetch returned Ok"
   | Error _ -> ());
   Alcotest.(check bool) "error not cached" true (Cache.get cache 5L = None);
-  (match Cache.get_or_fetch cache 5L ~fetch:(fun () -> Ok (Bytes.of_string "good")) with
-  | Ok b -> Alcotest.(check string) "later fetch serves" "good" (Bytes.to_string b)
+  (match Cache.get_or_fetch cache 5L ~fetch:(fun () -> Ok "good") with
+  | Ok b -> Alcotest.(check string) "later fetch serves" "good" b
   | Error e -> Alcotest.fail (Fault.to_string e));
   let s = Cache.stats cache in
   Alcotest.(check int) "both fetches ran upstream" 2 s.Cache.single_flights
@@ -410,6 +440,72 @@ let test_client_corrupt_fault_plan_retried () =
   Alcotest.(check bool) "reads succeed under corruption" true (!ok_reads > 0);
   Alcotest.(check bool) "injected corruption forced retries" true
     ((Client.stats client).Client.retries > 0)
+
+let test_server_answers_trailing_bytes_with_err () =
+  let server, _ = loopback_pair () in
+  List.iter
+    (fun body ->
+      match Proto.decode_response (Server.handle server body) with
+      | Ok (Proto.Err _) -> ()
+      | Ok _ -> Alcotest.failf "%S answered with a non-error" body
+      | Error e -> Alcotest.fail ("undecodable answer: " ^ e))
+    [ "S\000"; Proto.encode_request (Proto.Get 3L) ^ "x"; Proto.encode_request Proto.Scrape ^ "\001" ]
+
+(* Client reads equal direct slices of the blob, whatever the cache
+   state: a client and a server cache of four 256-byte chunks (so reads
+   evict), a cache warmed with a few chunks first, and exchanges that
+   fail transiently one time in ten and come back corrupt one time in
+   ten. *)
+let qcheck_read_bytes_parity =
+  let blob = bytes_of_seed 81 5000 in
+  QCheck.Test.make ~name:"read_bytes equals a slice of the blob" ~count:60
+    QCheck.(
+      triple (int_range 0 10_000)
+        (list_of_size Gen.(0 -- 4) (int_range 0 4999))
+        (list_of_size Gen.(1 -- 12) (pair (int_range 0 4999) (int_range 0 900))))
+    (fun (seed, warm, spans) ->
+      let server, conn = loopback_pair ~cache_bytes:1024 () in
+      let m = Server.add_blob server ~chunk_size:256 ~name:"blob" blob in
+      let faults =
+        Result.get_ok (Fault_plan.of_string (Printf.sprintf "seed=%d,transient=0.1,corrupt=0.1" seed))
+      in
+      let retry = { Retry.default with Retry.max_attempts = 40; deadline_ms = 1e12 } in
+      let client =
+        Client.connect ~retry ~faults ~cache:(Cache.create ~shards:2 ~budget_bytes:1024 ()) conn
+      in
+      let read off len =
+        match Client.read_bytes client m ~offset:off ~length:len with
+        | Ok b -> b
+        | Error e -> QCheck.Test.fail_reportf "read [%d,+%d): %s" off len (Fault.to_string e)
+      in
+      List.iter (fun off -> ignore (read off 1)) warm;
+      List.for_all
+        (fun (off, len) ->
+          let len = min len (5000 - off) in
+          read off len = Bytes.sub blob off len)
+        spans)
+
+(* read_bytes hands out a fresh buffer: writing into it cannot reach the
+   cached chunks a later read of the same range is served from. *)
+let test_read_bytes_result_not_aliased () =
+  let server, conn = loopback_pair () in
+  let blob = bytes_of_seed 91 2048 in
+  let m = Server.add_blob server ~chunk_size:256 ~name:"blob" blob in
+  let client = Client.connect ~cache:(Cache.create ~budget_bytes:65536 ()) conn in
+  List.iter
+    (fun (offset, length) ->
+      let read () =
+        match Client.read_bytes client m ~offset ~length with
+        | Ok b -> b
+        | Error e -> Alcotest.fail (Fault.to_string e)
+      in
+      Bytes.fill (read ()) 0 length 'X';
+      Alcotest.(check bool)
+        (Printf.sprintf "[%d, +%d) unchanged after mutating an earlier result" offset length)
+        true
+        (read () = Bytes.sub blob offset length))
+    [ (256, 256); (0, 2048); (300, 8); (250, 300) ];
+  Alcotest.(check bool) "later reads were cache hits" true ((Client.stats client).Client.cache_hits > 0)
 
 let test_server_put_and_stat () =
   let _, conn = loopback_pair () in
@@ -582,12 +678,12 @@ let test_registry_over_block_store () =
 
 (* ---- Unix-domain socket transport ---- *)
 
-let test_unix_socket_serving () =
+(* Run [f socket] against [server] serving a Unix socket on another
+   domain, then stop the accept loop.  When [f] fails, the server domain
+   is left behind: it may be blocked on a connection [f] never closed. *)
+let serving_unix server f =
   let dir = fresh_dir "kondo_sock" in
   let socket = Filename.concat dir "store.sock" in
-  let server, _ = loopback_pair () in
-  let blob = bytes_of_seed 71 3000 in
-  let m = Server.add_blob server ~chunk_size:100 ~name:"blob" blob in
   let stop = Atomic.make false in
   let srv =
     Domain.spawn (fun () ->
@@ -603,6 +699,21 @@ let test_unix_socket_serving () =
     end
   in
   wait_socket deadline;
+  let result = f socket in
+  (* stop the accept loop: flip the flag, then wake it with a connection *)
+  Atomic.set stop true;
+  (try
+     let wake = Transport.unix_connect socket in
+     wake.Transport.close ()
+   with Unix.Unix_error _ -> ());
+  Domain.join srv;
+  result
+
+let test_unix_socket_serving () =
+  let server, _ = loopback_pair () in
+  let blob = bytes_of_seed 71 3000 in
+  let m = Server.add_blob server ~chunk_size:100 ~name:"blob" blob in
+  serving_unix server @@ fun socket ->
   let client = Client.connect (Transport.unix_connect socket) in
   (match Client.manifest client ~name:"" with
   | Ok m' -> Alcotest.(check int64) "manifest over the socket" m.Chunk.root m'.Chunk.root
@@ -611,14 +722,24 @@ let test_unix_socket_serving () =
   | Ok b ->
     Alcotest.(check bool) "socket-served slice matches" true (b = Bytes.sub blob 123 1717)
   | Error e -> Alcotest.fail (Fault.to_string e));
-  Client.close client;
-  (* stop the accept loop: flip the flag, then wake it with a connection *)
-  Atomic.set stop true;
-  (try
-     let wake = Transport.unix_connect socket in
-     wake.Transport.close ()
-   with Unix.Unix_error _ -> ());
-  Domain.join srv
+  Client.close client
+
+(* A client that sends STAT and hangs up without reading the reply must
+   cost the server that connection only: the next client is answered. *)
+let test_unix_socket_survives_hangup () =
+  let server, _ = loopback_pair () in
+  serving_unix server @@ fun socket ->
+  for _ = 1 to 3 do
+    let a = Transport.unix_connect socket in
+    a.Transport.send (Proto.encode_request Proto.Stat);
+    a.Transport.close ()
+  done;
+  let b = Client.connect (Transport.unix_connect socket) in
+  (match Client.stat b with
+  | Ok _ -> ()
+  | Error e -> Alcotest.fail ("STAT after a hang-up: " ^ Fault.to_string e));
+  Client.close b;
+  Alcotest.(check int) "every STAT reached the server" 4 (Server.requests_served server)
 
 let suite =
   ( "store",
@@ -627,6 +748,7 @@ let suite =
       QCheck_alcotest.to_alcotest qcheck_chunk_offsets;
       Alcotest.test_case "proto request roundtrips" `Quick test_proto_request_roundtrip;
       Alcotest.test_case "proto response roundtrips" `Quick test_proto_response_roundtrip;
+      Alcotest.test_case "proto trailing bytes are an error" `Quick test_proto_trailing_bytes;
       Alcotest.test_case "block store basics" `Quick test_block_store_basics;
       Alcotest.test_case "block store persists across restarts" `Quick
         test_block_store_persistence;
@@ -647,6 +769,11 @@ let suite =
         test_client_corrupt_chunk_retried;
       Alcotest.test_case "corrupt fault plan retried" `Quick
         test_client_corrupt_fault_plan_retried;
+      Alcotest.test_case "server answers trailing bytes with Err" `Quick
+        test_server_answers_trailing_bytes_with_err;
+      QCheck_alcotest.to_alcotest qcheck_read_bytes_parity;
+      Alcotest.test_case "read_bytes result is not aliased" `Quick
+        test_read_bytes_result_not_aliased;
       Alcotest.test_case "put and stat" `Quick test_server_put_and_stat;
       Alcotest.test_case "runtime reads through the store" `Quick
         test_runtime_reads_through_store;
@@ -655,4 +782,6 @@ let suite =
       Alcotest.test_case "runtime stats render" `Quick test_runtime_stats_rendering;
       Alcotest.test_case "registry over the block store" `Quick
         test_registry_over_block_store;
-      Alcotest.test_case "unix socket serving" `Quick test_unix_socket_serving ] )
+      Alcotest.test_case "unix socket serving" `Quick test_unix_socket_serving;
+      Alcotest.test_case "unix server survives a hang-up" `Quick
+        test_unix_socket_survives_hangup ] )
