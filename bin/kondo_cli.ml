@@ -319,31 +319,6 @@ let read_whole_file path =
 let checksum_empty = Merkle.hash_bytes Bytes.empty
 let checksum_add acc v = Merkle.hash_pair acc (Int64.bits_of_float v)
 
-(* Build the runtime's store source from a chunk-server client: resolve
-   (and memoize) one manifest per dataset, then serve each miss with
-   [Client.read_bytes] over the dataset's logical data section. *)
-let store_source_of_client client ~socket ~store_name =
-  let manifests = Hashtbl.create 4 in
-  let manifest_for dataset =
-    match Hashtbl.find_opt manifests dataset with
-    | Some m -> Ok m
-    | None ->
-      let key =
-        if store_name = "" then "#" ^ dataset else store_name ^ "#" ^ dataset
-      in
-      (match Kondo_store.Client.manifest client ~name:key with
-      | Ok m ->
-        Hashtbl.add manifests dataset m;
-        Ok m
-      | Error _ as e -> e)
-  in
-  { Runtime.source_name = "unix:" ^ socket;
-    store_fetch =
-      (fun ~dst:_ ~dataset ~offset ~length ->
-        match manifest_for dataset with
-        | Error e -> Error e
-        | Ok m -> Kondo_store.Client.read_bytes client m ~offset ~length) }
-
 (* Run the program's access plan through the hardened container runtime:
    local reads from [path], carved-away offsets served by the chunk
    store and/or fetched from [src] under the retry/breaker machinery
@@ -378,7 +353,7 @@ let run_with_runtime p v ~path ~src ~remote_store ~store_name ~store_cache ~retr
       in
       let cache = Kondo_store.Cache.create ~budget_bytes:store_cache () in
       let client = Kondo_store.Client.connect ~retry ~faults:plan ~cache conn in
-      (Some client, Some (store_source_of_client client ~socket ~store_name))
+      (Some client, Some (Kondo_store.Client.store_source client ~name:store_name))
   in
   let rt = Runtime.boot ~remote:(src <> None) ?store ~faults:plan ~retry ~image ~dir () in
   let degraded = ref 0 in

@@ -60,7 +60,7 @@ type mount = {
   dst : string;
   local : Kfile.t;
   src : string; (* original source path, the "remote server" copy *)
-  mutable remote_file : Kfile.t option;
+  mutable file : (Kfile.t * store_source) option; (* the src file, once opened *)
   breaker : Breaker.t;
 }
 
@@ -87,10 +87,7 @@ type t = {
   mounts : mount list;
   remote : bool;
   store : store_source option;
-  faults : Fault_plan.t;
-  retry : Retry.policy;
-  rng : Kondo_prng.Rng.t; (* jitter stream: seeded from the plan, advanced per fetch *)
-  mutable now_ms : float; (* virtual clock fed by retry outcomes *)
+  guard : Guard.session; (* one jitter stream and virtual clock for every mount *)
   (* Each counted event, once: a child of kondo_runtime_<field>_total,
      named as its [stats] field ([breaker_trips] is summed from the
      mount breakers instead). *)
@@ -111,7 +108,7 @@ let counter field help =
 
 let boot ?tracer ?(remote = false) ?store ?(faults = Fault_plan.none)
     ?(retry = Retry.default) ?(breaker = Breaker.default) ~image ~dir () =
-  Retry.validate retry;
+  let guard = Guard.session ~retry faults in
   let mapping = Image.materialize image ~dir in
   let mounts =
     List.map
@@ -124,7 +121,7 @@ let boot ?tracer ?(remote = false) ?store ?(faults = Fault_plan.none)
         { dst;
           local = Kfile.open_file ?tracer path;
           src;
-          remote_file = None;
+          file = None;
           breaker = Breaker.create ~config:breaker () })
       mapping
   in
@@ -132,10 +129,7 @@ let boot ?tracer ?(remote = false) ?store ?(faults = Fault_plan.none)
     mounts;
     remote;
     store;
-    faults;
-    retry;
-    rng = Kondo_prng.Rng.create (Fault_plan.seed faults);
-    now_ms = 0.0;
+    guard;
     reads = counter "reads" "Element reads issued to the runtime";
     misses = counter "misses" "Reads that missed the local debloated file";
     remote_fetches = counter "remote_fetches" "Misses served by the remote source";
@@ -161,115 +155,105 @@ let file t ~dst = (mount t dst).local
 
 let breaker_state t ~dst = Breaker.state (mount t dst).breaker
 
-let remote_file t m =
-  match m.remote_file with
-  | Some f -> Some f
-  | None ->
-    if t.remote && m.src <> "" && Sys.file_exists m.src then begin
-      let f = Kfile.open_file m.src in
-      m.remote_file <- Some f;
-      Some f
-    end
-    else None
-
-(* One remote fetch protocol round: the server reads the element and
-   returns (payload, CRC-32 of payload); the fault plan may preempt the
-   round, truncate the payload, or corrupt it after the CRC was
-   computed.  The client end verifies length and CRC — KH5's own data
-   corruption defense, reused at element granularity — and converts a
-   mismatch into a retryable [Corrupt] error. *)
-let fetch_once t m f ~dataset idx =
-  let payload_len = 8 in
-  let attempt =
-    Fault_plan.wrap t.faults
-      ~site:("fetch:" ^ m.dst)
-      ~shorten:(fun (b, crc) -> (Bytes.sub b 0 (Bytes.length b - 1), crc))
-      ~corrupt:(fun (b, crc) ->
-        let b = Bytes.copy b in
-        Bytes.set_uint8 b 0 (Bytes.get_uint8 b 0 lxor 0xFF);
-        (b, crc))
-      (fun () ->
-        match Kfile.read_element f dataset idx with
-        | v ->
-          let b = Bytes.create payload_len in
-          Bytes.set_int64_le b 0 (Int64.bits_of_float v);
-          Ok (b, Kondo_h5.Binio.crc32 b)
-        | exception Kfile.Data_missing _ ->
-          Error (Fault.Permanent "offset also missing at the remote source")
-        | exception Kondo_h5.Binio.Corrupt msg ->
-          Error (Fault.Permanent (Printf.sprintf "remote source corrupt (%s)" msg)))
-  in
-  match attempt with
-  | Error _ as e -> e
-  | Ok (payload, crc) ->
-    if Bytes.length payload <> payload_len then
-      Error (Fault.Transient (Printf.sprintf "short read (%d of %d bytes)" (Bytes.length payload) payload_len))
-    else if Kondo_h5.Binio.crc32 payload <> crc then begin
-      Kondo_obs.Registry.inc t.corrupt_fetches;
-      Error (Fault.Corrupt "payload CRC mismatch")
-    end
-    else Ok (Int64.float_of_bits (Bytes.get_int64_le payload 0))
+(* The --remote source file as one more store source: [length] bytes at
+   [offset] of the dataset's logical data section of the original file
+   at the data dependency's [src], opened on the first miss. *)
+let file_source t m =
+  match m.file with
+  | Some (_, s) -> Some s
+  | None when t.remote && m.src <> "" && Sys.file_exists m.src ->
+    let f = Kfile.open_file m.src in
+    let s =
+      { source_name = m.src;
+        store_fetch =
+          (fun ~dst:_ ~dataset ~offset ~length ->
+            let range = Kondo_interval.Interval.make offset (offset + length) in
+            match Kfile.read_raw f dataset range with
+            | b -> Ok b
+            | exception Kfile.Data_missing _ ->
+              Error (Fault.Permanent "offset also missing at the remote source")) }
+    in
+    m.file <- Some (f, s);
+    Some s
+  | None -> None
 
 let degrade t miss cause =
   Kondo_obs.Registry.inc t.degraded_reads;
   Error (Degraded { missing = miss; cause })
 
-(* Serve a miss remotely: breaker gate, then retry/backoff around the
-   CRC-verified fetch protocol.  Every failure path lands in a
-   structured [Degraded] value — never a leaked exception. *)
-let fetch_remote t m ~dataset idx (miss : Kfile.missing) =
-  match remote_file t m with
-  | None -> Error (Kfile.Data_missing miss)
+(* Every source's payload must be exactly one element wide. *)
+let sized s ~esz b =
+  if Bytes.length b = esz then Ok b
+  else
+    Error
+      (Fault.Corrupt
+         (Printf.sprintf "%s returned %d bytes, wanted %d" s.source_name (Bytes.length b) esz))
+
+(* The file leg of a miss, after the store source failed with
+   [store_error] (or was not given).  Each attempt is one guarded
+   protocol round: the server end sends (payload, CRC-32), the fault
+   plan may preempt the round, truncate the payload or corrupt it after
+   the CRC was computed, and the client end verifies both — KH5's own
+   corruption defense, at element granularity. *)
+let from_file t m ~dataset ~dt ~esz (miss : Kfile.missing) store_error =
+  match (file_source t m, store_error) with
   | exception Kondo_h5.Binio.Corrupt msg ->
     degrade t miss
       (Fetch_failed (Fault.Permanent (Printf.sprintf "remote source corrupt (%s)" msg)))
-  | Some f ->
-    if not (Breaker.allow m.breaker ~now_ms:t.now_ms) then degrade t miss Breaker_open
-    else begin
-      let outcome =
-        Retry.run t.retry ~rng:t.rng (fun ~attempt:_ -> fetch_once t m f ~dataset idx)
-      in
-      t.now_ms <- t.now_ms +. outcome.Retry.elapsed_ms +. 1.0;
-      Kondo_obs.Registry.inc ~by:(Retry.retries outcome) t.retries;
-      match outcome.Retry.result with
-      | Ok v ->
-        Breaker.record_success m.breaker;
+  | None, None -> Error (Kfile.Data_missing miss)
+  | None, Some e -> degrade t miss (Fetch_failed e)
+  | Some f, _ -> (
+    let verify (b, crc) =
+      Result.bind (sized f ~esz b) (fun b ->
+          if Kondo_h5.Binio.crc32 b = crc then Ok b
+          else begin
+            Kondo_obs.Registry.inc t.corrupt_fetches;
+            Error (Fault.Corrupt "payload CRC mismatch")
+          end)
+    in
+    match
+      Guard.run m.breaker t.guard ~site:("fetch:" ^ m.dst)
+        ~shorten:(fun (b, crc) -> (Bytes.sub b 0 (Bytes.length b - 1), crc))
+        ~corrupt:(fun (b, crc) ->
+          let b = Bytes.copy b in
+          Bytes.set_uint8 b 0 (Bytes.get_uint8 b 0 lxor 0xFF);
+          (b, crc))
+        (fun () ->
+          f.store_fetch ~dst:m.dst ~dataset ~offset:miss.Kfile.offset ~length:esz
+          |> Result.map (fun b -> (b, Kondo_h5.Binio.crc32 b)))
+        ~check:verify
+    with
+    | Guard.Refused -> degrade t miss Breaker_open
+    | Guard.Ran { result; retries } -> (
+      Kondo_obs.Registry.inc ~by:retries t.retries;
+      match result with
+      | Ok b ->
         Kondo_obs.Registry.inc t.remote_fetches;
-        let ds = Kfile.find f dataset in
-        Kondo_obs.Registry.inc ~by:(Dtype.size ds.Kondo_h5.Dataset.dtype) t.remote_bytes;
-        Ok v
-      | Error e ->
-        Breaker.record_failure m.breaker ~now_ms:t.now_ms;
-        degrade t miss (Fetch_failed e)
-    end
+        Kondo_obs.Registry.inc ~by:esz t.remote_bytes;
+        Ok (Dtype.decode dt b 0)
+      | Error e -> degrade t miss (Fetch_failed e)))
 
-(* Serve a miss from the chunk-store source: one element's bytes at the
-   miss offset of the dataset's logical data section.  A store failure
-   (or a wrong-sized payload) counts as a fallback and hands the miss to
-   the remote file path when one is configured, else degrades. *)
-let fetch_store t m ~dataset idx (miss : Kfile.missing) s =
-  let ds = Kfile.find m.local dataset in
-  let dt = ds.Kondo_h5.Dataset.dtype in
+(* Serve a miss: the store source when given, then the source file when
+   [remote], else degrade.  A store failure counts as a fallback.  Every
+   failure lands in a structured [Degraded], never a leaked exception. *)
+let serve_miss t m ~dataset (miss : Kfile.missing) =
+  let dt = (Kfile.find m.local dataset).Kondo_h5.Dataset.dtype in
   let esz = Dtype.size dt in
-  let outcome =
-    match s.store_fetch ~dst:m.dst ~dataset ~offset:miss.Kfile.offset ~length:esz with
-    | Ok b when Bytes.length b = esz -> Ok b
+  match t.store with
+  | None -> from_file t m ~dataset ~dt ~esz miss None
+  | Some s -> (
+    match
+      Result.bind
+        (s.store_fetch ~dst:m.dst ~dataset ~offset:miss.Kfile.offset ~length:esz)
+        (sized s ~esz)
+    with
     | Ok b ->
-      Error
-        (Fault.Corrupt
-           (Printf.sprintf "store %s returned %d bytes, wanted %d" s.source_name
-              (Bytes.length b) esz))
-    | Error e -> Error e
-  in
-  match outcome with
-  | Ok b ->
-    Kondo_obs.Registry.inc t.store_fetches;
-    Kondo_obs.Registry.inc ~by:esz t.store_bytes;
-    Ok (Dtype.decode dt b 0)
-  | Error e ->
-    Kondo_obs.Registry.inc t.store_fallbacks;
-    if t.remote then fetch_remote t m ~dataset idx miss
-    else degrade t miss (Fetch_failed e)
+      Kondo_obs.Registry.inc t.store_fetches;
+      Kondo_obs.Registry.inc ~by:esz t.store_bytes;
+      Ok (Dtype.decode dt b 0)
+    | Error e ->
+      Kondo_obs.Registry.inc t.store_fallbacks;
+      from_file t m ~dataset ~dt ~esz miss (Some e))
 
 let try_read_element t ~dst ~dataset idx =
   let m = mount t dst in
@@ -279,11 +263,7 @@ let try_read_element t ~dst ~dataset idx =
   | exception Kfile.Data_missing miss ->
     Kondo_obs.Registry.inc t.misses;
     let t0 = Kondo_obs.Clock.now Kondo_obs.Clock.real in
-    let result =
-      match t.store with
-      | Some s -> fetch_store t m ~dataset idx miss s
-      | None -> fetch_remote t m ~dataset idx miss
-    in
+    let result = serve_miss t m ~dataset miss in
     Kondo_obs.Registry.observe
       (Lazy.force fetch_seconds)
       (Float.max 0.0 (Kondo_obs.Clock.now Kondo_obs.Clock.real -. t0));
@@ -316,5 +296,5 @@ let shutdown t =
   List.iter
     (fun m ->
       Kfile.close m.local;
-      Option.iter Kfile.close m.remote_file)
+      Option.iter (fun (f, _) -> Kfile.close f) m.file)
     t.mounts

@@ -11,15 +11,16 @@ open Kondo_faults
     location the way a container runtime pulls missing offsets from a
     remote server.
 
-    The remote path is fault-tolerant: fetches run under a retry
-    combinator with capped exponential backoff and a deadline budget, a
-    per-mount circuit breaker stops hammering a failing source, and
-    payloads are CRC-32-verified (a mismatch is a retryable fault).  A
-    {!Fault_plan} injects deterministic failures into the fetch protocol
-    for tests and benches.  When every recovery avenue is exhausted the
-    read degrades to a structured {!Degraded} error carrying the missing
-    offset and the cause — never an arbitrary leaked exception.
-    Statistics account for every path. *)
+    The source file is one more {!store_source}, built per mount, and
+    its fetches take the one guarded path ({!Kondo_faults.Guard.run}):
+    a retry combinator with capped exponential backoff and a deadline
+    budget, a per-mount circuit breaker that stops hammering a failing
+    source, and CRC-32-verified payloads (a mismatch is a retryable
+    fault).  A {!Fault_plan} injects deterministic failures into the
+    fetch protocol for tests and benches.  When every recovery avenue
+    is exhausted the read degrades to a structured {!Degraded} error
+    carrying the missing offset and the cause — never an arbitrary
+    leaked exception.  Statistics account for every path. *)
 
 type stats = {
   reads : int;           (** element reads served *)
@@ -28,10 +29,14 @@ type stats = {
   remote_bytes : int;    (** bytes pulled from the remote source file *)
   store_fetches : int;   (** misses satisfied by the chunk-store source *)
   store_bytes : int;     (** bytes served by the chunk-store source *)
-  store_fallbacks : int; (** store-path failures that fell back to the file path *)
+  store_fallbacks : int;
+      (** store-path failures, whether the file path then serves the
+          miss or, with no file fallback, the read degrades *)
   retries : int;         (** extra fetch attempts beyond the first *)
   breaker_trips : int;   (** circuit-breaker open transitions *)
-  degraded_reads : int;  (** remote-path reads that degraded to {!Degraded} *)
+  degraded_reads : int;
+      (** misses that ended in {!Degraded}: a failed or refused file
+          fetch, or a store failure with no file fallback *)
   corrupt_fetches : int; (** payloads that failed CRC verification *)
 }
 (** A snapshot of one runtime's counters.  Each event is counted once,
@@ -58,8 +63,10 @@ type store_source = {
           offsets are expressed in). *)
 }
 (** A pluggable miss-serving source — how the content-addressed chunk
-    store ([Kondo_store.Client]) plugs into the runtime without the
-    container layer depending on it. *)
+    store ([Kondo_store.Client.store_source]) plugs into the runtime
+    without the container layer depending on it.  The runtime serves
+    the [remote] source file through the same interface.  Either way a
+    payload must be exactly one element wide. *)
 
 type degraded_cause =
   | Breaker_open                  (** the mount's circuit breaker refused the fetch *)
@@ -88,18 +95,20 @@ val boot :
 (** Materialize the image's data layers under [dir] and open them.
     [remote] (default false) enables fallback to each data dependency's
     [src] file.  [store] plugs a chunk-store source in {e ahead} of the
-    file fallback: a miss tries the store first and only falls back to
-    the source file (when [remote] is also set) or degrades when the
-    store cannot serve it.  [faults] (default {!Fault_plan.none})
-    injects deterministic failures into remote file fetches; [retry]
-    and [breaker] tune the recovery machinery.  [tracer] audits the
-    container's reads. *)
+    file fallback: a miss tries the store first and, when the store
+    cannot serve it, falls back to the source file (when [remote] is
+    also set and the file exists) or degrades.  [faults] (default
+    {!Fault_plan.none}) injects deterministic failures into remote file
+    fetches; [retry] and [breaker] tune the recovery machinery.
+    [tracer] audits the container's reads. *)
 
 val read_element : t -> dst:string -> dataset:string -> int array -> float
 (** @raise Kondo_h5.File.Data_missing when the offset was carved away
-    and remote fallback is off or the source file is unavailable.
-    @raise Degraded when remote fallback was attempted and exhausted
-    its retry budget, hit its circuit breaker, or failed permanently. *)
+    and neither a store source nor an available source file was there
+    to try.
+    @raise Degraded when a fetch was attempted and exhausted its retry
+    budget, hit its circuit breaker, or failed permanently (for a store
+    failure: when no source file followed it). *)
 
 val try_read_element :
   t -> dst:string -> dataset:string -> int array -> (float, exn) result

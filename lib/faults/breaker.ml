@@ -48,8 +48,6 @@ let stats t : stats =
   let v = Kondo_obs.Registry.counter_value in
   { trips = v t.trips; recoveries = v t.recoveries; rejections = v t.rejections }
 
-let state_name = function Closed -> "closed" | Open -> "open" | Half_open -> "half-open"
-
 let trip t ~now_ms =
   t.state <- Open;
   t.opened_at_ms <- now_ms;

@@ -35,7 +35,6 @@ val create : ?config:config -> unit -> t
 
 val state : t -> state
 val stats : t -> stats
-val state_name : state -> string
 
 val allow : t -> now_ms:float -> bool
 (** May a call proceed now?  Counts a rejection when refusing; moves an

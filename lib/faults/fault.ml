@@ -4,13 +4,9 @@ type error =
   | Corrupt of string
   | Permanent of string
 
-type class_ = Retryable | Fatal
-
-let classify = function
-  | Transient _ | Timeout _ | Corrupt _ -> Retryable
-  | Permanent _ -> Fatal
-
-let is_retryable e = classify e = Retryable
+let is_retryable = function
+  | Transient _ | Timeout _ | Corrupt _ -> true
+  | Permanent _ -> false
 
 let cost_ms = function
   | Timeout { cost_ms } -> cost_ms

@@ -1,8 +1,8 @@
 (** Failure taxonomy for fallible I/O and remote fetches.
 
     Every fallible operation in the fault-tolerant runtime reports one of
-    these errors; the retry combinator and the circuit breaker act on the
-    {!classify} of the error, never on its text.  Timeouts carry the
+    these errors; the retry combinator acts on {!is_retryable} and
+    {!cost_ms} of the error, never on its text.  Timeouts carry the
     virtual time they consumed so deadline budgets stay deterministic. *)
 
 type error =
@@ -12,10 +12,8 @@ type error =
   | Corrupt of string          (** payload failed CRC verification; retryable *)
   | Permanent of string        (** retrying cannot help *)
 
-type class_ = Retryable | Fatal
-
-val classify : error -> class_
 val is_retryable : error -> bool
+(** Every error but [Permanent]. *)
 
 val cost_ms : error -> float
 (** Virtual time an attempt ending in this error consumed: the carried

@@ -33,9 +33,6 @@ val create :
 val is_none : t -> bool
 val seed : t -> int
 
-val copy : t -> t
-(** Independent plan with the same parameters and per-site positions. *)
-
 val decide : t -> site:string -> kind option
 (** Draw the next decision for [site], advancing its counter. *)
 

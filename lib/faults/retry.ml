@@ -54,7 +54,7 @@ let m_retries =
     (Kondo_obs.Registry.counter ~help:"Retries (attempts beyond the first) under Retry.run"
        Kondo_obs.Registry.default "kondo_retry_retries_total")
 
-let run ?on_retry p ~rng f =
+let run p ~rng f =
   validate p;
   let rec go attempt elapsed =
     match f ~attempt with
@@ -67,10 +67,7 @@ let run ?on_retry p ~rng f =
         let d = delay p ~rng ~attempt in
         if elapsed +. d > p.deadline_ms then
           { result = Error e; attempts = attempt; elapsed_ms = elapsed }
-        else begin
-          (match on_retry with Some g -> g attempt e | None -> ());
-          go (attempt + 1) (elapsed +. d)
-        end
+        else go (attempt + 1) (elapsed +. d)
       end
   in
   let outcome = go 1 0.0 in

@@ -38,11 +38,9 @@ type 'a outcome = {
 val retries : 'a outcome -> int
 
 val run :
-  ?on_retry:(int -> Fault.error -> unit) ->
   policy ->
   rng:Kondo_prng.Rng.t ->
   (attempt:int -> ('a, Fault.error) result) ->
   'a outcome
-(** Run [f] until success, a {!Fault.Fatal} error, [max_attempts], or
-    the deadline budget cannot fit the next backoff.  [on_retry] fires
-    before each re-attempt with the attempt number that just failed. *)
+(** Run [f] until success, a {!Fault.Permanent} error, [max_attempts],
+    or the deadline budget cannot fit the next backoff. *)

@@ -215,11 +215,17 @@ let mean_slab t name slab =
 
 let read_raw t name iv =
   let e = entry t name in
-  if Dataset.is_sparse e.ds then invalid_arg "File.read_raw: sparse dataset";
-  let len = Interval.length iv in
-  if iv.Interval.lo < 0 || iv.Interval.hi > Dataset.logical_bytes e.ds then
+  let lo = iv.Interval.lo and len = Interval.length iv in
+  if lo < 0 || iv.Interval.hi > Dataset.logical_bytes e.ds then
     invalid_arg "File.read_raw: out of section";
-  t.port.Io_port.pread (e.data_off + iv.Interval.lo) len
+  match e.ds.Dataset.storage with
+  | Dataset.Dense -> t.port.Io_port.pread (e.data_off + lo) len
+  | Dataset.Sparse _ -> (
+    match sparse_locate e lo len with
+    | Some packed -> t.port.Io_port.pread (e.data_off + packed) len
+    | None ->
+      let index = Option.value ~default:[||] (Dataset.index_of_offset e.ds lo) in
+      raise (Data_missing { path = path t; dataset = name; index; offset = lo }))
 
 let file_size t = t.port.Io_port.size ()
 

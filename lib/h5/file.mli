@@ -48,9 +48,12 @@ val mean_slab : t -> string -> Hyperslab.t -> float
 (** Convenience reduction used by examples: mean of selected elements. *)
 
 val read_raw : t -> string -> Kondo_interval.Interval.t -> bytes
-(** Raw bytes of a logical data-section range of a {e dense} dataset
-    (used when packing debloated files).  @raise Invalid_argument on
-    sparse datasets or out-of-section ranges. *)
+(** Raw bytes of a logical data-section range (used when packing
+    debloated files and when serving a miss from a source file).
+    @raise Data_missing when a sparse dataset does not hold the whole
+    range; [index] is the element at the range start ([[||]] in a
+    chunk's padding).
+    @raise Invalid_argument on out-of-section ranges. *)
 
 val file_size : t -> int
 (** Total on-disk size in bytes. *)

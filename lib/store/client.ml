@@ -26,22 +26,18 @@ let batch_size =
 
 type t = {
   conn : Transport.conn;
-  retry : Retry.policy;
   breaker : Breaker.t;
-  faults : Fault_plan.t;
+  guard : Guard.session;
   cache : Cache.t option;
-  rng : Kondo_prng.Rng.t;
-  site : string;
-  mutable now_ms : float;
   (* Each counted event, once: a child of
-     kondo_store_client_<field>_total, named as its [stats] field. *)
+     kondo_store_client_<field>_total, named as its [stats] field
+     ([breaker_rejections] is the breaker's own count). *)
   requests : Kondo_obs.Registry.counter;
   range_gets : Kondo_obs.Registry.counter;
   fetched_chunks : Kondo_obs.Registry.counter;
   fetched_bytes : Kondo_obs.Registry.counter;
   corrupt_fetches : Kondo_obs.Registry.counter;
   retries : Kondo_obs.Registry.counter;
-  breaker_rejections : Kondo_obs.Registry.counter;
   cache_hits : Kondo_obs.Registry.counter;
 }
 
@@ -50,15 +46,10 @@ let counter field help =
 
 let connect ?(retry = Retry.default) ?(breaker = Breaker.default)
     ?(faults = Fault_plan.none) ?cache conn =
-  Retry.validate retry;
   { conn;
-    retry;
     breaker = Breaker.create ~config:breaker ();
-    faults;
+    guard = Guard.session ~retry faults;
     cache;
-    rng = Kondo_prng.Rng.create (Fault_plan.seed faults);
-    site = "store:" ^ conn.Transport.peer;
-    now_ms = 0.0;
     requests = counter "requests" "Protocol rounds attempted";
     range_gets = counter "range_gets" "BATCH requests issued";
     fetched_chunks = counter "fetched_chunks" "Verified chunks received";
@@ -66,8 +57,6 @@ let connect ?(retry = Retry.default) ?(breaker = Breaker.default)
     corrupt_fetches =
       counter "corrupt_fetches" "Digest mismatches detected (then retried)";
     retries = counter "retries" "Exchange retries";
-    breaker_rejections =
-      counter "breaker_rejections" "Exchanges refused by an open breaker";
     cache_hits = counter "cache_hits" "Chunks served from the local cache" }
 
 let close t = t.conn.Transport.close ()
@@ -79,17 +68,20 @@ let stats t : stats =
     fetched_bytes = v t.fetched_bytes;
     corrupt_fetches = v t.corrupt_fetches;
     retries = v t.retries;
-    breaker_rejections = v t.breaker_rejections;
+    breaker_rejections = (Breaker.stats t.breaker).Breaker.rejections;
     cache_hits = v t.cache_hits }
-let breaker_state t = Breaker.state t.breaker
+let breaker_stats t = Breaker.stats t.breaker
 
-(* One protocol round under the fault plan: the injected short-read and
-   corrupt mutations mangle the raw response body, which decoding (or
-   digest verification downstream) then rejects as a retryable fault. *)
-let round_once t req =
-  Kondo_obs.Registry.inc t.requests;
-  let attempt =
-    Fault_plan.wrap t.faults ~site:t.site
+(* One breaker-gated, retried exchange.  Each attempt is one protocol
+   round under the fault plan: the injected short-read and corrupt
+   mutations mangle the raw response body, which decoding (or digest
+   verification in [check]) then rejects as a retryable fault.  [check]
+   classifies a decoded response: Ok payload, or an error (retryable or
+   not). *)
+let exchange t req ~check =
+  let t0 = Kondo_obs.Clock.now Kondo_obs.Clock.real in
+  match
+    Guard.run t.breaker t.guard ~site:("store:" ^ t.conn.Transport.peer)
       ~shorten:(fun body -> String.sub body 0 (max 0 (String.length body - 1)))
       ~corrupt:(fun body ->
         if body = "" then body
@@ -100,42 +92,21 @@ let round_once t req =
         end)
       (fun () ->
         t.conn.Transport.send (Proto.encode_request req);
-        match t.conn.Transport.recv () with
-        | Ok body -> Ok body
-        | Error msg -> Error (Fault.Transient msg))
-  in
-  match attempt with
-  | Error _ as e -> e
-  | Ok body -> (
-    match Proto.decode_response body with
-    | Ok resp -> Ok resp
-    | Error msg -> Error (Fault.Corrupt ("undecodable response: " ^ msg)))
-
-(* Breaker-gated, retried exchange.  [check] classifies a decoded
-   response: Ok payload, or an error (retryable or not). *)
-let exchange t req ~check =
-  if not (Breaker.allow t.breaker ~now_ms:t.now_ms) then begin
-    Kondo_obs.Registry.inc t.breaker_rejections;
-    Error (Fault.Permanent "store circuit breaker open")
-  end
-  else begin
-    let t0 = Kondo_obs.Clock.now Kondo_obs.Clock.real in
-    let outcome =
-      Retry.run t.retry ~rng:t.rng (fun ~attempt:_ ->
-          match round_once t req with
-          | Error _ as e -> e
-          | Ok resp -> check resp)
-    in
+        Result.map_error (fun msg -> Fault.Transient msg) (t.conn.Transport.recv ()))
+      ~check:(fun body ->
+        match Proto.decode_response body with
+        | Ok resp -> check resp
+        | Error msg -> Error (Fault.Corrupt ("undecodable response: " ^ msg)))
+  with
+  | Guard.Refused -> Error (Fault.Permanent "store circuit breaker open")
+  | Guard.Ran { result; retries } ->
     Kondo_obs.Registry.observe
       (Lazy.force request_seconds)
       (Float.max 0.0 (Kondo_obs.Clock.now Kondo_obs.Clock.real -. t0));
-    t.now_ms <- t.now_ms +. outcome.Retry.elapsed_ms +. 1.0;
-    Kondo_obs.Registry.inc ~by:(Retry.retries outcome) t.retries;
-    (match outcome.Retry.result with
-    | Ok _ -> Breaker.record_success t.breaker
-    | Error _ -> Breaker.record_failure t.breaker ~now_ms:t.now_ms);
-    outcome.Retry.result
-  end
+    (* one protocol round per attempt *)
+    Kondo_obs.Registry.inc ~by:(retries + 1) t.requests;
+    Kondo_obs.Registry.inc ~by:retries t.retries;
+    result
 
 let unexpected resp =
   Error
@@ -288,3 +259,18 @@ let read_bytes t m ~offset ~length =
       done;
       Ok out
   end
+
+let store_source t ~name =
+  let manifests = Hashtbl.create 4 in
+  let manifest_for dataset =
+    match Hashtbl.find_opt manifests dataset with
+    | Some m -> Ok m
+    | None ->
+      Result.map
+        (fun m -> Hashtbl.add manifests dataset m; m)
+        (manifest t ~name:(name ^ "#" ^ dataset))
+  in
+  { Kondo_container.Runtime.source_name = t.conn.Transport.peer;
+    store_fetch =
+      (fun ~dst:_ ~dataset ~offset ~length ->
+        Result.bind (manifest_for dataset) (fun m -> read_bytes t m ~offset ~length)) }

@@ -17,12 +17,14 @@ type stats = {
   fetched_bytes : int;
   corrupt_fetches : int;    (** digest/shape mismatches detected (then retried) *)
   retries : int;
-  breaker_rejections : int;
+  breaker_rejections : int; (** exchanges refused by the open breaker *)
   cache_hits : int;         (** chunks served from the local chunk cache *)
 }
 (** A snapshot of one client's counters.  Each event is counted once, by
     a {!Kondo_obs.Registry.child} of the process-wide
-    [kondo_store_client_<field>_total]. *)
+    [kondo_store_client_<field>_total] — except [breaker_rejections],
+    which is the client breaker's own [rejections] (process-wide:
+    [kondo_breaker_rejections_total]). *)
 
 type t
 
@@ -40,7 +42,9 @@ val close : t -> unit
 val stats : t -> stats
 (** A fresh snapshot: later exchanges do not change it. *)
 
-val breaker_state : t -> Kondo_faults.Breaker.state
+val breaker_stats : t -> Kondo_faults.Breaker.stats
+(** The connection breaker's counters (its [rejections] are
+    [stats.breaker_rejections]). *)
 
 val manifest : t -> name:string -> (Chunk.manifest, Kondo_faults.Fault.error) result
 
@@ -70,3 +74,10 @@ val read_bytes :
     The result is a fresh buffer holding only the requested slice of
     each chunk; the caller may mutate it.
     @raise Invalid_argument when the range exceeds the blob. *)
+
+val store_source : t -> name:string -> Kondo_container.Runtime.store_source
+(** The runtime's store source over this client: a miss in dataset [d]
+    reads bytes of the blob [name ^ "#" ^ d] (the name {!Server.add_kh5}
+    gives a file's dataset) through {!read_bytes}.  Each dataset's
+    manifest is fetched once and memoized; a failed lookup is retried at
+    the next miss.  [source_name] is the connection's peer. *)

@@ -146,8 +146,9 @@ let mini_spec_for p ~src ~dst =
     param_space = p.Program.param_space;
     entrypoint = Some "/app/run" }
 
-let build_image ?(n = 16) () =
+let build_image ?(n = 16) ?dtype () =
   let p = Stencils.ldc2d ~n () in
+  let p = match dtype with Some dtype -> { p with Program.dtype } | None -> p in
   let src = Filename.temp_file "kondo_img_src" ".kh5" in
   Datafile.write_for ~path:src p;
   let spec = mini_spec_for p ~src ~dst:"/app/data.kh5" in
@@ -224,8 +225,8 @@ let test_runtime_remote_fallback () =
 
 (* image whose data layer was debloated to nothing: every read must
    travel the remote-fetch path *)
-let build_hollow_image () =
-  let p, src, img = build_image ~n:32 () in
+let build_hollow_image ?dtype () =
+  let p, src, img = build_image ~n:32 ?dtype () in
   let empty_keep _ = Kondo_interval.Interval_set.empty in
   let tmp_deb = Filename.temp_file "kondo_deb" ".kh5" in
   let f = Kondo_h5.File.open_file src in
@@ -333,6 +334,85 @@ let test_runtime_permanent_faults_degrade () =
   Runtime.shutdown rt;
   Sys.remove src
 
+(* The whole stats record of one faulted remote run, pinned: the fault
+   draws per site, the jitter stream and the virtual clock decide every
+   count, so any change to the fetch path's wiring shows here. *)
+let test_runtime_fault_accounting_pinned () =
+  let p, src, img = build_hollow_image () in
+  let run ?(plan = "seed=7,transient=0.3,timeout=0.1,corrupt=0.1") ?retry ?breaker () =
+    let faults = Result.get_ok (Kondo_faults.Fault_plan.of_string plan) in
+    let rt =
+      Runtime.boot ~remote:true ~faults ?retry ?breaker ~image:img
+        ~dir:(fresh_dir "kondo_rta") ()
+    in
+    let refused = ref 0 in
+    Kondo_dataarray.Index_set.iter (Program.ground_truth p) (fun idx ->
+        match Runtime.try_read_element rt ~dst:"/app/data.kh5" ~dataset:p.Program.dataset idx with
+        | Ok v -> Alcotest.(check (float 1e-9)) "value survives the fetch" (Datafile.fill idx) v
+        | Error (Runtime.Degraded { cause = Runtime.Breaker_open; _ }) -> incr refused
+        | Error (Runtime.Degraded { cause = Runtime.Fetch_failed _; _ }) -> ()
+        | Error exn -> raise exn);
+    let s = Runtime.stats rt in
+    Runtime.shutdown rt;
+    [ ("reads", s.reads); ("misses", s.misses); ("remote_fetches", s.remote_fetches);
+      ("remote_bytes", s.remote_bytes); ("store_fetches", s.store_fetches);
+      ("store_bytes", s.store_bytes); ("store_fallbacks", s.store_fallbacks);
+      ("retries", s.retries); ("breaker_trips", s.breaker_trips);
+      ("degraded_reads", s.degraded_reads); ("corrupt_fetches", s.corrupt_fetches);
+      ("breaker_refusals", !refused) ]
+  in
+  let pinned = Alcotest.(list (pair string int)) in
+  Alcotest.check pinned "default retry and breaker"
+    [ ("reads", 128); ("misses", 128); ("remote_fetches", 124); ("remote_bytes", 1984);
+      ("store_fetches", 0); ("store_bytes", 0); ("store_fallbacks", 0); ("retries", 100);
+      ("breaker_trips", 0); ("degraded_reads", 4); ("corrupt_fetches", 18);
+      ("breaker_refusals", 0) ]
+    (run ());
+  (* a hair-trigger breaker: the first exhausted fetch opens it, and the
+     refused reads that follow are Breaker_open, not Fetch_failed *)
+  Alcotest.check pinned "two attempts, one-failure breaker"
+    [ ("reads", 128); ("misses", 128); ("remote_fetches", 5); ("remote_bytes", 80);
+      ("store_fetches", 0); ("store_bytes", 0); ("store_fallbacks", 0); ("retries", 3);
+      ("breaker_trips", 1); ("degraded_reads", 123); ("corrupt_fetches", 1);
+      ("breaker_refusals", 122) ]
+    (run
+       ~retry:{ Kondo_faults.Retry.default with Kondo_faults.Retry.max_attempts = 2 }
+       ~breaker:
+         { Kondo_faults.Breaker.failure_threshold = 1; cooldown_ms = 40.0; success_threshold = 1 }
+       ());
+  (* short reads too: a truncated payload is retried but is not corrupt *)
+  Alcotest.check pinned "short reads too"
+    [ ("reads", 128); ("misses", 128); ("remote_fetches", 122); ("remote_bytes", 1952);
+      ("store_fetches", 0); ("store_bytes", 0); ("store_fallbacks", 0); ("retries", 117);
+      ("breaker_trips", 0); ("degraded_reads", 6); ("corrupt_fetches", 49);
+      ("breaker_refusals", 0) ]
+    (run ~plan:"seed=7,transient=0.2,timeout=0.05,corrupt=0.25,short=0.05" ());
+  Sys.remove src
+
+(* A non-float64 dataset through the file source: each fetch moves one
+   element of the dataset's own width and decodes to the local value. *)
+let test_runtime_file_source_dtypes () =
+  List.iter
+    (fun dtype ->
+      let p, src, img = build_hollow_image ~dtype () in
+      let full = Kondo_h5.File.open_file src in
+      let rt = Runtime.boot ~remote:true ~image:img ~dir:(fresh_dir "kondo_rtd") () in
+      let n = ref 0 in
+      Kondo_dataarray.Index_set.iter (Program.ground_truth p) (fun idx ->
+          incr n;
+          Alcotest.(check (float 0.0))
+            (Kondo_dataarray.Dtype.to_string dtype ^ " value equals a local read")
+            (Kondo_h5.File.read_element full p.Program.dataset idx)
+            (Runtime.read_element rt ~dst:"/app/data.kh5" ~dataset:p.Program.dataset idx));
+      let s = Runtime.stats rt in
+      Alcotest.(check int) "every read fetched" !n s.Runtime.remote_fetches;
+      Alcotest.(check int) "one element's width per fetch"
+        (!n * Kondo_dataarray.Dtype.size dtype) s.Runtime.remote_bytes;
+      Runtime.shutdown rt;
+      Kondo_h5.File.close full;
+      Sys.remove src)
+    Kondo_dataarray.Dtype.[ Int32; Float32; Int64; Long_double ]
+
 let test_materialize_mapping () =
   let _, src, img = build_image () in
   let dir = Filename.temp_file "kondo_mat" "" in
@@ -368,4 +448,6 @@ let suite =
         test_runtime_transient_faults_all_served;
       Alcotest.test_case "permanent faults degrade structurally" `Quick
         test_runtime_permanent_faults_degrade;
+      Alcotest.test_case "fault accounting pinned" `Quick test_runtime_fault_accounting_pinned;
+      Alcotest.test_case "file source serves every dtype" `Quick test_runtime_file_source_dtypes;
       Alcotest.test_case "image materialize" `Quick test_materialize_mapping ] )

@@ -219,6 +219,55 @@ let test_breaker_state_machine () =
   Alcotest.(check bool) "recovered closed" true (Breaker.state b = Breaker.Closed);
   Alcotest.(check int) "recovery counted" 1 (Breaker.stats b).Breaker.recoveries
 
+(* ---------------- Guard ---------------- *)
+
+let test_guard_run () =
+  let session plan = Guard.session (Result.get_ok (Fault_plan.of_string plan)) in
+  let closed = Breaker.create () in
+  (* every attempt faulted: the policy's 4 attempts, 3 of them retries *)
+  (match
+     Guard.run closed (session "seed=1,transient=1.0") ~site:"g" (fun () -> Ok 1)
+       ~check:Result.ok
+   with
+  | Guard.Ran { result = Error (Fault.Transient _); retries = 3 } -> ()
+  | _ -> Alcotest.fail "expected a transient failure after 3 retries");
+  (* [check] sees the payload as the plan mangled it *)
+  let seen = ref [] in
+  (match
+     Guard.run closed (session "seed=1,corrupt=1.0") ~site:"g" ~corrupt:(fun v -> -v)
+       (fun () -> Ok 5)
+       ~check:(fun v ->
+         seen := v :: !seen;
+         if v > 0 then Ok v else Error (Fault.Corrupt "negative"))
+   with
+  | Guard.Ran { result = Error (Fault.Corrupt _); retries = 3 } ->
+    Alcotest.(check (list int)) "check saw every corrupted payload" [ -5; -5; -5; -5 ] !seen
+  | _ -> Alcotest.fail "expected a corrupt failure after 3 retries")
+
+(* One session, one virtual clock: a refused call stops nothing but
+   advances no time, while calls through another breaker of the same
+   session move the clock that ends the first breaker's cooldown. *)
+let test_guard_shares_clock () =
+  let s = Guard.session (Fault_plan.create ~permanent:1.0 ~seed:1 ()) in
+  let config = { Breaker.failure_threshold = 1; cooldown_ms = 10.0; success_threshold = 1 } in
+  let a = Breaker.create ~config () in
+  let b = Breaker.create ~config:{ config with Breaker.failure_threshold = max_int } () in
+  let run br = Guard.run br s ~site:"g" (fun () -> Ok ()) ~check:Result.ok in
+  (* a permanent fault: one attempt of 1 ms, plus the clock's 1 ms step *)
+  (match run a with
+  | Guard.Ran { result = Error (Fault.Permanent _); retries = 0 } -> ()
+  | _ -> Alcotest.fail "expected one permanent failure");
+  for _ = 1 to 3 do
+    Alcotest.(check bool) "open: refused" true (run a = Guard.Refused)
+  done;
+  Alcotest.(check int) "refusals counted by the breaker" 3 (Breaker.stats a).Breaker.rejections;
+  (* 4 calls through b: 8 ms of shared clock, short of a's cooldown *)
+  for _ = 1 to 4 do ignore (run b) done;
+  Alcotest.(check bool) "still cooling down" true (run a = Guard.Refused);
+  ignore (run b);
+  Alcotest.(check bool) "cooled down on the shared clock" true (run a <> Guard.Refused);
+  Alcotest.(check int) "the failed probe re-opened a" 2 (Breaker.stats a).Breaker.trips
+
 (* ---------------- Frame ---------------- *)
 
 let test_frame_roundtrip () =
@@ -386,6 +435,8 @@ let suite =
       Alcotest.test_case "retry stops on fatal" `Quick test_retry_fatal_stops;
       Alcotest.test_case "retry deadline budget" `Quick test_retry_deadline_cuts;
       Alcotest.test_case "breaker state machine" `Quick test_breaker_state_machine;
+      Alcotest.test_case "guard retries and checks" `Quick test_guard_run;
+      Alcotest.test_case "guard session shares one clock" `Quick test_guard_shares_clock;
       Alcotest.test_case "frame roundtrip" `Quick test_frame_roundtrip;
       Alcotest.test_case "frame truncate every byte" `Quick test_frame_truncate_every_byte;
       Alcotest.test_case "frame corrupt byte" `Quick test_frame_corrupt_byte;

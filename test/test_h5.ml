@@ -189,6 +189,20 @@ let test_read_raw () =
     (Dtype.decode Dtype.Float64 b 0);
   File.close f
 
+let test_read_raw_sparse () =
+  (* a kept row reads as in the source; a carved-away range raises *)
+  let _, dst = debloated_pair ~keep_rows:[ 2 ] () in
+  let d = File.open_file dst in
+  let b = File.read_raw d "data" (Interval.make (2 * 8 * 8) ((2 * 8 * 8) + 16)) in
+  Alcotest.(check (float 1e-9)) "kept element" (fill [| 2; 1 |]) (Dtype.decode Dtype.Float64 b 8);
+  (try
+     ignore (File.read_raw d "data" (Interval.make 8 16));
+     Alcotest.fail "expected Data_missing"
+   with File.Data_missing m ->
+     Alcotest.(check int) "offset" 8 m.File.offset;
+     Alcotest.(check (array int)) "index at the range start" [| 0; 1 |] m.File.index);
+  File.close d
+
 let test_align_keep_rounds_to_elements () =
   (* a keep range cutting an element in half must still allow reading it *)
   let src = tmp "align_src.kh5" and dst = tmp "align_dst.kh5" in
@@ -434,6 +448,7 @@ let suite =
       Alcotest.test_case "debloated file is smaller" `Quick test_debloated_smaller;
       Alcotest.test_case "debloated run table reopens" `Quick test_debloated_roundtrip_reopen;
       Alcotest.test_case "read_raw" `Quick test_read_raw;
+      Alcotest.test_case "read_raw on a sparse dataset" `Quick test_read_raw_sparse;
       Alcotest.test_case "keep ranges align to elements" `Quick test_align_keep_rounds_to_elements;
       Alcotest.test_case "write_bytes equals file" `Quick test_write_bytes_equals_file;
       Alcotest.test_case "attributes roundtrip" `Quick test_attributes_roundtrip;

@@ -560,31 +560,12 @@ let fresh_dir prefix =
   Unix.mkdir dir 0o755;
   dir
 
-let store_source_for client ~socket =
-  let manifests = Hashtbl.create 4 in
-  let manifest_for dataset =
-    match Hashtbl.find_opt manifests dataset with
-    | Some m -> Ok m
-    | None -> (
-      match Client.manifest client ~name:("#" ^ dataset) with
-      | Ok m ->
-        Hashtbl.add manifests dataset m;
-        Ok m
-      | Error _ as e -> e)
-  in
-  { Runtime.source_name = socket;
-    store_fetch =
-      (fun ~dst:_ ~dataset ~offset ~length ->
-        match manifest_for dataset with
-        | Error e -> Error e
-        | Ok m -> Client.read_bytes client m ~offset ~length) }
-
 let test_runtime_reads_through_store () =
   let p, src, img = build_hollow_image () in
   let server, conn = loopback_pair () in
   ignore (Server.add_kh5 server ~chunk_size:128 ~name:(Filename.basename src) src);
   let client = Client.connect ~cache:(Cache.create ~budget_bytes:65536 ()) conn in
-  let store = store_source_for client ~socket:"loopback" in
+  let store = Client.store_source client ~name:"" in
   let rt = Runtime.boot ~store ~image:img ~dir:(fresh_dir "kondo_rts") () in
   for i = 0 to 15 do
     for j = 0 to 15 do
@@ -601,6 +582,62 @@ let test_runtime_reads_through_store () =
   Alcotest.(check bool) "store bytes accounted" true (s.Runtime.store_bytes > 0);
   Alcotest.(check int) "no fallbacks" 0 s.Runtime.store_fallbacks;
   Alcotest.(check int) "file remote path unused" 0 s.Runtime.remote_fetches;
+  Runtime.shutdown rt;
+  Client.close client;
+  Sys.remove src
+
+(* The whole accounting of one faulted store run with a file fallback,
+   pinned: the client's and the runtime's fault draws, jitter streams,
+   virtual clocks and breakers decide every count. *)
+let test_store_fault_accounting_pinned () =
+  let p, src, img = build_hollow_image () in
+  let plan () =
+    Result.get_ok (Fault_plan.of_string "seed=3,transient=0.25,timeout=0.1,short=0.05,corrupt=0.15")
+  in
+  let server, conn = loopback_pair () in
+  ignore (Server.add_kh5 server ~chunk_size:128 ~name:(Filename.basename src) src);
+  let client =
+    Client.connect ~faults:(plan ())
+      ~retry:{ Retry.default with Retry.max_attempts = 2 }
+      ~breaker:{ Breaker.failure_threshold = 2; cooldown_ms = 30.0; success_threshold = 1 }
+      ~cache:(Cache.create ~budget_bytes:1024 ()) conn
+  in
+  let rt =
+    Runtime.boot ~remote:true ~faults:(plan ()) ~store:(Client.store_source client ~name:"")
+      ~image:img ~dir:(fresh_dir "kondo_rsp") ()
+  in
+  let degraded = ref 0 in
+  for i = 0 to 15 do
+    for j = 0 to 15 do
+      match Runtime.try_read_element rt ~dst:"/data" ~dataset:p.Program.dataset [| i; j |] with
+      | Ok v -> Alcotest.(check (float 1e-9)) "value" (Datafile.fill [| i; j |]) v
+      | Error (Runtime.Degraded _) -> incr degraded
+      | Error exn -> raise exn
+    done
+  done;
+  let s = Runtime.stats rt and cs = Client.stats client in
+  let got =
+    [ ("reads", s.reads); ("misses", s.misses); ("remote_fetches", s.remote_fetches);
+      ("remote_bytes", s.remote_bytes); ("store_fetches", s.store_fetches);
+      ("store_bytes", s.store_bytes); ("store_fallbacks", s.store_fallbacks);
+      ("retries", s.retries); ("breaker_trips", s.breaker_trips);
+      ("degraded_reads", s.degraded_reads); ("corrupt_fetches", s.corrupt_fetches);
+      ("degraded", !degraded); ("client_requests", cs.requests);
+      ("client_range_gets", cs.range_gets); ("client_fetched_chunks", cs.fetched_chunks);
+      ("client_fetched_bytes", cs.fetched_bytes); ("client_corrupt_fetches", cs.corrupt_fetches);
+      ("client_retries", cs.retries); ("client_breaker_rejections", cs.breaker_rejections);
+      ("client_cache_hits", cs.cache_hits) ]
+  in
+  (* the client's breaker trips and then refuses every exchange: each
+     refused range GET is a store fallback served by the file path *)
+  Alcotest.(check (list (pair string int))) "runtime and client stats"
+    [ ("reads", 256); ("misses", 256); ("remote_fetches", 189); ("remote_bytes", 3024);
+      ("store_fetches", 52); ("store_bytes", 832); ("store_fallbacks", 204); ("retries", 200);
+      ("breaker_trips", 0); ("degraded_reads", 15); ("corrupt_fetches", 68); ("degraded", 15);
+      ("client_requests", 24); ("client_range_gets", 211); ("client_fetched_chunks", 7);
+      ("client_fetched_bytes", 896); ("client_corrupt_fetches", 0); ("client_retries", 10);
+      ("client_breaker_rejections", 198); ("client_cache_hits", 45) ]
+    got;
   Runtime.shutdown rt;
   Client.close client;
   Sys.remove src
@@ -630,7 +667,19 @@ let test_runtime_store_failure_falls_back_to_file () =
   | Error exn -> Alcotest.fail ("unexpected error: " ^ Printexc.to_string exn));
   Alcotest.(check int) "degrade accounted" 1 (Runtime.stats rt).Runtime.degraded_reads;
   Runtime.shutdown rt;
-  Sys.remove src
+  Sys.remove src;
+  (* [remote] with the source file gone: no file fallback, so it degrades too *)
+  let rt =
+    Runtime.boot ~remote:true ~store:broken ~image:img ~dir:(fresh_dir "kondo_rth") ()
+  in
+  (match Runtime.try_read_element rt ~dst:"/data" ~dataset:p.Program.dataset [| 2; 3 |] with
+  | Error (Runtime.Degraded { cause = Runtime.Fetch_failed (Fault.Transient "down"); _ }) -> ()
+  | Ok _ -> Alcotest.fail "read served with no working source"
+  | Error exn -> Alcotest.fail ("unexpected error: " ^ Printexc.to_string exn));
+  let s = Runtime.stats rt in
+  Alcotest.(check (pair int int)) "fallback and degrade accounted" (1, 1)
+    (s.Runtime.store_fallbacks, s.Runtime.degraded_reads);
+  Runtime.shutdown rt
 
 let test_runtime_stats_rendering () =
   let _, src, img = build_hollow_image () in
@@ -685,11 +734,13 @@ let runtime_fields (s : Runtime.stats) =
     ("retries", s.retries); ("degraded_reads", s.degraded_reads);
     ("corrupt_fetches", s.corrupt_fetches) ]
 
+(* [breaker_rejections] is the client breaker's own count: it is
+   reconciled with the breaker family below *)
 let client_fields (s : Client.stats) =
   [ ("requests", s.requests); ("range_gets", s.range_gets);
     ("fetched_chunks", s.fetched_chunks); ("fetched_bytes", s.fetched_bytes);
     ("corrupt_fetches", s.corrupt_fetches); ("retries", s.retries);
-    ("breaker_rejections", s.breaker_rejections); ("cache_hits", s.cache_hits) ]
+    ("cache_hits", s.cache_hits) ]
 
 let cache_fields (s : Cache.stats) =
   [ ("hits", s.hits); ("misses", s.misses); ("evictions", s.evictions);
@@ -710,12 +761,10 @@ let test_stats_reconcile_with_registry () =
   let client =
     Client.connect
       ~faults:(Fault_plan.create ~transient:0.1 ~corrupt:0.1 ~seed:3 ())
-      (* the client's breaker is in no stats record: keep it closed *)
-      ~breaker:{ Breaker.default with Breaker.failure_threshold = max_int }
       ~cache:client_cache conn
   in
   let stored =
-    Runtime.boot ~store:(store_source_for client ~socket:"loopback") ~image:img
+    Runtime.boot ~store:(Client.store_source client ~name:"") ~image:img
       ~dir:(fresh_dir "kondo_rcs") ()
   in
   (* a remote runtime whose breaker trips: every fetch fails for good *)
@@ -724,11 +773,14 @@ let test_stats_reconcile_with_registry () =
       ~faults:(Fault_plan.create ~permanent:1.0 ~seed:7 ())
       ~image:img ~dir:(fresh_dir "kondo_rcr") ()
   in
+  let refused = ref 0 in
   for i = 0 to 15 do
     for j = 0 to 15 do
       List.iter
         (fun rt ->
-          ignore (Runtime.try_read_element rt ~dst:"/data" ~dataset:p.Program.dataset [| i; j |]))
+          match Runtime.try_read_element rt ~dst:"/data" ~dataset:p.Program.dataset [| i; j |] with
+          | Error (Runtime.Degraded { cause = Runtime.Breaker_open; _ }) -> incr refused
+          | _ -> ())
         [ stored; remote ]
     done
   done;
@@ -740,10 +792,17 @@ let test_stats_reconcile_with_registry () =
   check_family ~before ~after ~prefix:"kondo_store_client_" [ client_fields cs ];
   check_family ~before ~after ~prefix:"kondo_store_cache_"
     [ cache_fields client_cs; cache_fields server_cs ];
+  (* every live breaker, the client's included: the runtimes' mount
+     breakers show their trips in [breaker_trips] and their refusals as
+     [Breaker_open] reads, and never recover under permanent faults *)
   let trips = List.fold_left (fun acc (s : Runtime.stats) -> acc + s.breaker_trips) 0 rts in
   Alcotest.(check bool) "the remote runtime's breaker tripped" true (trips > 0);
-  Alcotest.(check int) "kondo_breaker_trips_total" trips
-    (counter_in after "kondo_breaker_trips_total" - counter_in before "kondo_breaker_trips_total");
+  Alcotest.(check bool) "the remote runtime's breaker refused" true (!refused > 0);
+  let mounts = [ ("trips", trips); ("recoveries", 0); ("rejections", !refused) ] in
+  let client_breaker = Client.breaker_stats client in
+  check_family ~before ~after ~prefix:"kondo_breaker_" [ mounts; breaker_fields client_breaker ];
+  Alcotest.(check int) "the client's refusals are its breaker's" client_breaker.Breaker.rejections
+    cs.Client.breaker_rejections;
   Alcotest.(check int) "kondo_store_server_requests_total" (Server.requests_served server)
     (counter_in after "kondo_store_server_requests_total"
     - counter_in before "kondo_store_server_requests_total");
@@ -905,6 +964,8 @@ let suite =
         test_runtime_reads_through_store;
       Alcotest.test_case "store failure falls back to the file" `Quick
         test_runtime_store_failure_falls_back_to_file;
+      Alcotest.test_case "store fault accounting pinned" `Quick
+        test_store_fault_accounting_pinned;
       Alcotest.test_case "runtime stats render" `Quick test_runtime_stats_rendering;
       Alcotest.test_case "instance stats reconcile with the registry" `Quick
         test_stats_reconcile_with_registry;
